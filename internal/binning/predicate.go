@@ -235,14 +235,25 @@ var (
 // limit). start offsets local rows to global ids (0 for whole-table
 // sources). cells resolves residual rows; it may be nil for exact filters
 // (a residual row with no CellFn is an error, not a guess). Partial sources
-// must have every block available.
+// must have every block available. The result is sized once, for the
+// most rows it can hold.
 func (f *Filter) MatchingRows(src CodeSource, start int, cells CellFn, limit int) ([]int, error) {
-	var out []int
-	err := f.stream(src, start, cells, func(rows []int) bool {
-		out = append(out, rows...)
-		if limit > 0 && len(out) >= limit {
-			out = out[:limit]
-			return false
+	n := 0
+	if src != nil {
+		n = src.NumRows()
+	}
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	out := make([]int, 0, n)
+	err := f.stream(src, start, cells, func(first int, alive []bool) bool {
+		for i, ok := range alive {
+			if ok {
+				out = append(out, first+i)
+				if len(out) == limit {
+					return false
+				}
+			}
 		}
 		return true
 	})
@@ -262,11 +273,13 @@ func (f *Filter) MatchMask(src CodeSource, start int, cells CellFn) ([]bool, int
 	}
 	keep := make([]bool, n)
 	matched := 0
-	err := f.stream(src, start, cells, func(rows []int) bool {
-		for _, r := range rows {
-			keep[r-start] = true
+	err := f.stream(src, start, cells, func(first int, alive []bool) bool {
+		for i, ok := range alive {
+			if ok {
+				keep[first-start+i] = true
+				matched++
+			}
 		}
-		matched += len(rows)
 		return true
 	})
 	if err != nil {
@@ -277,9 +290,10 @@ func (f *Filter) MatchMask(src CodeSource, start int, cells CellFn) ([]bool, int
 
 // stream drives the block loop: per block it classifies every row against
 // every predicate, batches one residual cell gather per predicate with
-// undecided rows, and emits the block's matching global rows (ascending) to
-// emit. emit returning false stops the scan early (the limit path).
-func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(rows []int) bool) error {
+// undecided rows, and hands emit the block's verdicts: alive[i] reports
+// whether global row first+i matches. emit returning false stops the scan
+// early (the limit path).
+func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(first int, alive []bool) bool) error {
 	if src == nil || src.NumRows() == 0 {
 		return nil
 	}
@@ -295,7 +309,6 @@ func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(rows 
 	br := src.BlockRows()
 	alive := make([]bool, br)
 	var scratch []uint16
-	var batch []int
 	for blk := 0; blk < src.NumBlocks(); blk++ {
 		if ok && !ps.BlockAvailable(blk) {
 			return fmt.Errorf("binning: predicate filter needs block %d, which is not held locally", blk)
@@ -362,13 +375,7 @@ func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(rows 
 				}
 			}
 		}
-		batch = batch[:0]
-		for i := 0; i < bn; i++ {
-			if alive[i] {
-				batch = append(batch, start+off+i)
-			}
-		}
-		if len(batch) > 0 && !emit(batch) {
+		if !emit(start+off, alive[:bn]) {
 			return nil
 		}
 	}

@@ -607,9 +607,12 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 				return nil, fmt.Errorf("core: scatter/gather sampling: %w", err)
 			}
 			candRows, csrc = sampled, overlay
-		} else if opt.covered != nil {
+		} else if opt.covered != nil && strataCount(m.B, cols) > scale.SampleBudget {
 			// Session-biased samples depend on mutable session state, so
-			// they bypass the per-budget sample cache.
+			// they bypass the per-budget sample cache. The bias only
+			// reorders the coverage phase, so with no more strata than
+			// budget it cannot change the sample and the cached unbiased
+			// sampler below serves the select.
 			seed := m.Opt.ClusterSeed ^ scaleSampleSeed
 			candRows = stratifiedReservoirBiased(m.B, rows, cols, scale.SampleBudget, seed, opt.covered.Contains)
 		} else {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"subtab/internal/binning"
@@ -106,8 +107,12 @@ func (m *Model) selectFiltered(preds []query.Predicate, limit int, scope []int, 
 
 // matchingRows evaluates the conjunction over the model's code source and
 // returns the ascending matching rows, intersected with the optional
-// sorted scope; limit applies only when no scope is given.
+// sorted scope; limit applies only when no scope is given. With no
+// predicates every row matches, so a scope is its own answer.
 func (m *Model) matchingRows(preds []query.Predicate, limit int, scope []int) ([]int, error) {
+	if len(preds) == 0 && scope != nil {
+		return slices.Clone(scope[:sort.SearchInts(scope, m.B.Source().NumRows())]), nil
+	}
 	f := m.B.CompileFilter(preds)
 	cells, err := m.residualCells(f)
 	if err != nil {

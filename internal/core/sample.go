@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"subtab/internal/binning"
+	"subtab/internal/f32"
 	"subtab/internal/shard"
 )
 
@@ -22,15 +25,26 @@ import (
 //
 // Both phases rank rows by one seeded per-row hash (computed once — the
 // per-cell work of the dominant phase-1 scan is then a uint16 read and a
-// compare, which is what keeps a 31-column million-row scan in the low
-// hundreds of milliseconds on one core) rather than by sequential rng
-// draws, so the sample is one fixed function of (binning, rows, cols,
-// budget, seed) — no iteration-order or scheduling dependence — and any
-// candidate subset of a table samples consistently. The result is sorted
-// ascending and duplicate-free; a candidate set no larger than the budget
-// is returned whole (sorted).
+// compare) rather than by sequential rng draws, so the sample is one fixed
+// function of (binning, rows, cols, budget, seed) — no iteration-order or
+// scheduling dependence — and any candidate subset of a table samples
+// consistently. rows must be duplicate-free. The result is sorted ascending
+// and duplicate-free; a candidate set no larger than the budget is returned
+// whole (sorted).
 func stratifiedReservoir(b *binning.Binned, rows, cols []int, budget int, seed int64) []int {
 	return stratifiedReservoirBiased(b, rows, cols, budget, seed, nil)
+}
+
+// strataCount bounds the number of (column, bin) strata the sampler can see
+// over cols: the sum of the columns' bin counts. When it is at most the
+// budget, phase 1 serves every non-empty stratum whatever the order, so a
+// coverage bias cannot change the sample.
+func strataCount(b *binning.Binned, cols []int) int {
+	n := 0
+	for _, c := range cols {
+		n += b.Cols[c].NumBins()
+	}
+	return n
 }
 
 // stratifiedReservoirBiased is the session-aware form: covered, when
@@ -38,7 +52,8 @@ func stratifiedReservoir(b *binning.Binned, rows, cols []int, budget int, seed i
 // shown, and phase 1 serves the uncovered strata first (each pass in
 // ascending item order) — a drill-down's coverage budget goes to strata the
 // user has not seen, while phase 2's uniform fill is untouched. covered ==
-// nil is bit-identical to the historical sampler.
+// nil is bit-identical to the historical sampler. The bias reorders phase 1
+// only, so it changes a sample only when strataCount exceeds the budget.
 func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, seed int64, covered func(item int) bool) []int {
 	if budget <= 0 || len(rows) <= budget {
 		out := make([]int, len(rows))
@@ -50,19 +65,23 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 	// Shard-backed full-table scans scatter: one goroutine per shard, merged
 	// associatively (package shard) — same sample, one shard-scan's worth of
 	// wall clock. Query subsets fall through to the generic block cursor.
-	if src, ok := b.Source().(*shard.Source); ok && src.Complete() &&
-		len(rows) == src.NumRows() && identityRows(rows) {
-		return shardedReservoir(b, src, cols, budget, seed, covered)
+	src := b.Source()
+	full := len(rows) == src.NumRows() && identityRows(rows)
+	if ss, ok := src.(*shard.Source); ok && ss.Complete() && full {
+		return shardedReservoir(b, ss, cols, budget, seed, covered)
 	}
 
 	rowH := make([]uint64, len(rows))
-	for i, r := range rows {
-		rowH[i] = sampleHash(seed, r)
-	}
+	f32.ParallelRange(len(rows), f32.Workers(len(rows)), func(start, end int) {
+		for i := start; i < end; i++ {
+			rowH[i] = sampleHash(seed, rows[i])
+		}
+	})
 
-	// Phase 1: per-stratum min-hash representative. The stratum space is the
-	// global item-id space restricted to cols; NumItems is small (columns ×
-	// bins), so flat slots beat a map.
+	// Phase 1: per-stratum min-(hash, row) representative, kept as the
+	// candidate index into rows (-1: stratum empty among the candidates).
+	// The stratum space is the global item-id space restricted to cols;
+	// NumItems is small (columns × bins), so flat slots beat a map.
 	//
 	// Codes are read through the binning's CodeSource so the scan runs
 	// identically over inline codes and over an on-disk store: min-hash with
@@ -70,45 +89,50 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 	// (and the store's block geometry) cannot change the sample — the
 	// property that lets the out-of-core path reproduce the in-memory
 	// sample bit for bit.
-	bestRow := make([]int, b.NumItems())
-	bestHash := make([]uint64, b.NumItems())
-	for s := range bestRow {
-		bestRow[s] = -1
+	best := make([]int, b.NumItems())
+	for s := range best {
+		best[s] = -1
 	}
-	update := func(s int32, r int, h uint64) {
-		if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
-			bestRow[s], bestHash[s] = r, h
+	if b.HasInlineCodes() {
+		// Resident codes: the strata of different columns are disjoint item
+		// ranges, so the columns scan in parallel, each into its own slots.
+		// A repeated column would share slots; it cannot change the minima,
+		// so it is scanned once.
+		seen := make([]bool, b.NumCols())
+		scan := make([]int, 0, len(cols))
+		for _, c := range cols {
+			if !seen[c] {
+				seen[c] = true
+				scan = append(scan, c)
+			}
 		}
-	}
-	src := b.Source()
-	var scratch []uint16
-	for _, c := range cols {
-		base := b.ItemOf(c, 0)
-		switch {
-		case b.HasInlineCodes():
-			// Resident codes: the historical single-pass loop, one uint16
-			// read and a compare per cell (kept branch-free of the closure —
-			// this is the dominant scan of every in-memory scaled select).
-			codes := b.Codes[c]
-			for i, r := range rows {
-				s := base + int32(codes[r])
-				h := rowH[i]
-				if bestRow[s] < 0 || h < bestHash[s] || (h == bestHash[s] && r < bestRow[s]) {
-					bestRow[s], bestHash[s] = r, h
-				}
+		f32.ParallelIndex(len(scan), f32.Workers(len(scan)), func(j int) {
+			c := scan[j]
+			base := int(b.ItemOf(c, 0))
+			columnMinima(b.Codes[c], rows, rowH, full, best[base:base+b.Cols[c].NumBins()])
+		})
+	} else {
+		update := func(s int32, i int, h uint64) {
+			if j := best[s]; j < 0 || h < rowH[j] || (h == rowH[j] && rows[i] < rows[j]) {
+				best[s] = i
 			}
-		case len(rows) == src.NumRows() && identityRows(rows):
-			// Store-backed full-table scan: stream whole blocks in order.
-			br := src.BlockRows()
-			for blk := 0; blk < src.NumBlocks(); blk++ {
-				codes := src.ColumnBlock(c, blk, scratch)
-				scratch = codes
-				off := blk * br
-				for i, code := range codes {
-					update(base+int32(code), off+i, rowH[off+i])
+		}
+		var scratch []uint16
+		for _, c := range cols {
+			base := b.ItemOf(c, 0)
+			if full {
+				// Store-backed full-table scan: stream whole blocks in order.
+				br := src.BlockRows()
+				for blk := 0; blk < src.NumBlocks(); blk++ {
+					codes := src.ColumnBlock(c, blk, scratch)
+					scratch = codes
+					off := blk * br
+					for i, code := range codes {
+						update(base+int32(code), off+i, rowH[off+i])
+					}
 				}
+				continue
 			}
-		default:
 			// Store-backed candidate subset (a query result): walk the rows
 			// with a per-column block cursor — sequential block loads for the
 			// (sorted) common case, still correct for any order.
@@ -121,94 +145,182 @@ func stratifiedReservoirBiased(b *binning.Binned, rows, cols []int, budget int, 
 					codes = src.ColumnBlock(c, blk, scratch)
 					scratch = codes
 				}
-				update(base+int32(codes[r-blk*br]), r, rowH[i])
+				update(base+int32(codes[r-blk*br]), i, rowH[i])
 			}
 		}
 	}
-	picked := make(map[int]bool, budget)
-	sample := make([]int, 0, budget)
+	picked := make([]bool, len(rows))
+	sample := make([]int, 0, min(budget, len(best)))
 	for _, wantCovered := range [2]bool{false, true} {
 		if len(sample) >= budget {
 			break
 		}
-		for s := range bestRow {
+		for s, i := range best {
 			if len(sample) >= budget {
 				break
 			}
 			if covered != nil && covered(s) != wantCovered {
 				continue
 			}
-			r := bestRow[s]
-			if r < 0 || picked[r] {
+			if i < 0 || picked[i] {
 				continue
 			}
-			picked[r] = true
-			sample = append(sample, r)
+			picked[i] = true
+			sample = append(sample, rows[i])
 		}
 		if covered == nil {
 			break
 		}
 	}
-
-	// Phase 2: uniform fill — the (budget - coverage) rows with the smallest
-	// row-keyed hashes, via a bounded max-heap so million-row candidate sets
-	// need no full sort. Ties break toward the lower row id.
-	if rem := budget - len(sample); rem > 0 {
-		heapH := make([]uint64, 0, rem)
-		heapR := make([]int, 0, rem)
-		greater := func(i, j int) bool {
-			if heapH[i] != heapH[j] {
-				return heapH[i] > heapH[j]
-			}
-			return heapR[i] > heapR[j]
-		}
-		siftDown := func(i int) {
-			for {
-				l, rch := 2*i+1, 2*i+2
-				big := i
-				if l < len(heapH) && greater(l, big) {
-					big = l
-				}
-				if rch < len(heapH) && greater(rch, big) {
-					big = rch
-				}
-				if big == i {
-					return
-				}
-				heapH[i], heapH[big] = heapH[big], heapH[i]
-				heapR[i], heapR[big] = heapR[big], heapR[i]
-				i = big
-			}
-		}
-		for i, r := range rows {
-			if picked[r] {
-				continue
-			}
-			h := rowH[i]
-			if len(heapH) < rem {
-				heapH = append(heapH, h)
-				heapR = append(heapR, r)
-				for i := len(heapH) - 1; i > 0; {
-					p := (i - 1) / 2
-					if !greater(i, p) {
-						break
-					}
-					heapH[i], heapH[p] = heapH[p], heapH[i]
-					heapR[i], heapR[p] = heapR[p], heapR[i]
-					i = p
-				}
-				continue
-			}
-			if h > heapH[0] || (h == heapH[0] && r > heapR[0]) {
-				continue
-			}
-			heapH[0], heapR[0] = h, r
-			siftDown(0)
-		}
-		sample = append(sample, heapR...)
-	}
 	sort.Ints(sample)
+	if rem := budget - len(sample); rem > 0 {
+		return mergeSorted(sample, uniformFill(rows, rowH, picked, len(rows)-len(sample), rem))
+	}
 	return sample
+}
+
+// columnMinima scans one resident code column over the candidates and
+// writes, per bin, the candidate index of the min-(hash, row) member into
+// slots (left at -1 for bins no candidate falls in). Over the full table
+// (identity rows) the row is the index and ascending, so a later row never
+// wins a hash tie and the scan needs no row indirection.
+func columnMinima(codes []uint16, rows []int, rowH []uint64, identity bool, slots []int) {
+	type slot struct {
+		h uint64
+		i int
+	}
+	mins := make([]slot, len(slots))
+	for s := range mins {
+		mins[s] = slot{math.MaxUint64, -1}
+	}
+	if identity {
+		codes = codes[:len(rowH)]
+		for r, code := range codes {
+			h, m := rowH[r], &mins[code]
+			if h < m.h || (h == m.h && m.i < 0) {
+				m.h, m.i = h, r
+			}
+		}
+	} else {
+		for i, r := range rows {
+			h, m := rowH[i], &mins[codes[r]]
+			if h < m.h || (h == m.h && (m.i < 0 || r < rows[m.i])) {
+				m.h, m.i = h, i
+			}
+		}
+	}
+	for s, m := range mins {
+		slots[s] = m.i
+	}
+}
+
+// uniformFill is phase 2: the rem unpicked candidates of smallest (hash,
+// row), returned in candidate order (ascending when rows is); free is the
+// number of unpicked candidates. Hashes are
+// uniform, so a threshold sized to admit slightly more than rem of the
+// unpicked candidates collects a superset of the answer in one pass; when
+// fewer than rem fall under it, every unpicked candidate is collected
+// instead. Either way the rem smallest of the collected rows are exactly
+// the rem smallest overall.
+func uniformFill(rows []int, rowH []uint64, picked []bool, free, rem int) []int {
+	limit := uint64(math.MaxUint64)
+	if want := rem + rem/8 + 64; want < free {
+		limit = uint64(math.Ldexp(float64(want)/float64(free), 64))
+	}
+	var coll []int
+	for pass := 0; pass < 2; pass++ {
+		coll = make([]int, 0, min(free, rem+rem/4+128))
+		for i, h := range rowH {
+			if h <= limit && !picked[i] {
+				coll = append(coll, i)
+			}
+		}
+		if len(coll) >= rem {
+			break
+		}
+		limit = math.MaxUint64
+	}
+
+	// The cut is the rem-th smallest (hash, row): every collected row below
+	// the cut hash is in, and of the rows at the cut hash the lowest ids are.
+	hs := make([]uint64, len(coll))
+	for j, i := range coll {
+		hs[j] = rowH[i]
+	}
+	cutH := nthSmallest(hs, rem-1)
+	atCut := rem
+	var tied []int
+	for _, i := range coll {
+		if h := rowH[i]; h < cutH {
+			atCut--
+		} else if h == cutH {
+			tied = append(tied, rows[i])
+		}
+	}
+	slices.Sort(tied)
+	cutRow := tied[atCut-1]
+
+	out := make([]int, 0, rem)
+	for _, i := range coll {
+		if h := rowH[i]; h < cutH || (h == cutH && rows[i] <= cutRow) {
+			out = append(out, rows[i])
+		}
+	}
+	return out
+}
+
+// nthSmallest returns the k-th smallest (0-based) value of hs, reordering
+// hs: quickselect with a three-way partition, so runs of equal values
+// shrink the range instead of stalling it.
+func nthSmallest(hs []uint64, k int) uint64 {
+	for len(hs) > 16 {
+		p := hs[len(hs)/2]
+		lt, i, gt := 0, 0, len(hs)
+		for i < gt {
+			switch h := hs[i]; {
+			case h < p:
+				hs[lt], hs[i] = h, hs[lt]
+				lt++
+				i++
+			case h > p:
+				gt--
+				hs[i], hs[gt] = hs[gt], h
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hs = hs[:lt]
+		case k >= gt:
+			hs, k = hs[gt:], k-gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(hs)
+	return hs[k]
+}
+
+// mergeSorted merges ascending a with b, sorting b first if it is not
+// already ascending (a candidate order that was not).
+func mergeSorted(a, b []int) []int {
+	if !slices.IsSorted(b) {
+		slices.Sort(b)
+	}
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // sampleHash maps (seed, row) to a uniform 64-bit value. The hash lives

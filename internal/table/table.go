@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -171,11 +172,18 @@ func (c *Column) CellString(r int) string {
 // FormatNum renders a non-missing numeric cell — the exact bytes CellString
 // and Value.String produce. It is exported so out-of-table cell renderers
 // (the paged column store) stay byte-identical to in-memory rendering.
+// The bytes are those of fmt's "%.0f" for integral |v| < 1e15 and "%g"
+// otherwise, produced through strconv directly: fmt's "%.0f" takes
+// strconv's slow arbitrary-precision path, and residual filter checks
+// render a cell per boundary row.
 func FormatNum(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%.0f", v)
+		if v == 0 && math.Signbit(v) {
+			return "-0"
+		}
+		return strconv.FormatInt(int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Distinct returns the number of distinct non-missing values.
