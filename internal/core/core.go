@@ -715,7 +715,8 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 // nearest each cluster's centroid, the one with the lowest average binned
 // Jaccard similarity to the rows already picked. Clusters are visited in
 // descending size order; the first (dominant) cluster contributes its most
-// central member. The per-point centroid distances and the per-candidate
+// central member. Distance ties among a cluster's members break toward the
+// lower candidate index. The per-point centroid distances and the per-candidate
 // Jaccard scans run across workers; each slot is written by exactly one
 // index and the final argmin scan is serial with first-wins ties, so the
 // result is bit-identical to the serial path. The vectors arrive as a slab:
@@ -748,20 +749,34 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, vecs *f32.Slab, rows
 			})
 		}
 	}
+	// Each cluster keeps its q nearest members in ascending (distance,
+	// index) order, one insertion pass over the points: a member enters
+	// only if it beats the current q-th, and equal distances keep the
+	// lower index first because indices arrive ascending.
 	type cand struct {
 		idx int
 		d   float64
 	}
+	top := make([]cand, res.K*q)
 	cands := make([][]cand, res.K)
-	for i := 0; i < n; i++ {
-		c := res.Assign[i]
-		cands[c] = append(cands[c], cand{i, ds[i]})
-	}
 	for c := range cands {
-		sort.Slice(cands[c], func(x, y int) bool { return cands[c][x].d < cands[c][y].d })
-		if len(cands[c]) > q {
-			cands[c] = cands[c][:q]
+		cands[c] = top[c*q : c*q : (c+1)*q]
+	}
+	for i := 0; i < n; i++ {
+		cs, d := cands[res.Assign[i]], ds[i]
+		if len(cs) == q {
+			if d >= cs[q-1].d {
+				continue
+			}
+			cs = cs[:q-1]
 		}
+		j := len(cs)
+		cs = append(cs, cand{})
+		for ; j > 0 && cs[j-1].d > d; j-- {
+			cs[j] = cs[j-1]
+		}
+		cs[j] = cand{i, d}
+		cands[res.Assign[i]] = cs
 	}
 	order := make([]int, res.K)
 	for i := range order {
