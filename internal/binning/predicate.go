@@ -29,13 +29,15 @@ import (
 // matched row set is therefore identical to the resident-cell evaluation,
 // with no full-table materialization.
 
-// binClass is the compile-time verdict for one (predicate, bin) pair.
+// binClass is the compile-time verdict for one (predicate, bin) pair. Its
+// bits drive the stream's branch-free row loop: bit 0 is set when a row of
+// the bin can satisfy the predicate, bit 1 when only its cell can tell.
 type binClass uint8
 
 const (
-	binFalse binClass = iota // no row of this bin can satisfy the predicate
-	binTrue                  // every row of this bin satisfies it
-	binMaybe                 // undecidable from the bin alone: residual check
+	binFalse binClass = 0 // no row of this bin can satisfy the predicate
+	binTrue  binClass = 1 // every row of this bin satisfies it
+	binMaybe binClass = 3 // undecidable from the bin alone: residual check
 )
 
 // predProgram is one compiled predicate: the column it reads and its
@@ -245,22 +247,25 @@ func (f *Filter) MatchingRows(src CodeSource, start int, cells CellFn, limit int
 	if limit > 0 {
 		n = min(n, limit)
 	}
-	out := make([]int, 0, n)
-	err := f.stream(src, start, cells, func(first int, alive []bool) bool {
-		for i, ok := range alive {
-			if ok {
-				out = append(out, first+i)
-				if len(out) == limit {
-					return false
-				}
+	// Every row is written at the next free slot, which only a match
+	// advances: no branch on the verdict. Before row r at most r rows have
+	// matched, so the slot exists unless the limit is already met.
+	out := make([]int, n)
+	j := 0
+	err := f.stream(src, start, cells, func(first int, alive []uint8) bool {
+		for i, a := range alive {
+			if j == len(out) {
+				return false
 			}
+			out[j] = first + i
+			j += int(a)
 		}
-		return true
+		return j < len(out)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out[:j], nil
 }
 
 // MatchMask evaluates the conjunction over every row of src and returns a
@@ -273,12 +278,10 @@ func (f *Filter) MatchMask(src CodeSource, start int, cells CellFn) ([]bool, int
 	}
 	keep := make([]bool, n)
 	matched := 0
-	err := f.stream(src, start, cells, func(first int, alive []bool) bool {
-		for i, ok := range alive {
-			if ok {
-				keep[first-start+i] = true
-				matched++
-			}
+	err := f.stream(src, start, cells, func(first int, alive []uint8) bool {
+		for i, a := range alive {
+			keep[first-start+i] = a != 0
+			matched += int(a)
 		}
 		return true
 	})
@@ -290,10 +293,10 @@ func (f *Filter) MatchMask(src CodeSource, start int, cells CellFn) ([]bool, int
 
 // stream drives the block loop: per block it classifies every row against
 // every predicate, batches one residual cell gather per predicate with
-// undecided rows, and hands emit the block's verdicts: alive[i] reports
-// whether global row first+i matches. emit returning false stops the scan
+// undecided rows, and hands emit the block's verdicts: alive[i] is 1 when
+// global row first+i matches, else 0. emit returning false stops the scan
 // early (the limit path).
-func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(first int, alive []bool) bool) error {
+func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(first int, alive []uint8) bool) error {
 	if src == nil || src.NumRows() == 0 {
 		return nil
 	}
@@ -307,8 +310,13 @@ func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(first
 	ps, ok := src.(PartialCodeSource)
 	n := src.NumRows()
 	br := src.BlockRows()
-	alive := make([]bool, br)
+	alive := make([]uint8, br)
 	var scratch []uint16
+	// residual[pi] collects the block-local rows predicate pi cannot decide
+	// from codes, resolved in one gather per predicate; global holds their
+	// global ids for the gather. Both are reused block after block.
+	residual := make([][]int, len(f.preds))
+	var global []int
 	for blk := 0; blk < src.NumBlocks(); blk++ {
 		if ok && !ps.BlockAvailable(blk) {
 			return fmt.Errorf("binning: predicate filter needs block %d, which is not held locally", blk)
@@ -318,40 +326,30 @@ func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(first
 			bn = n - off
 		}
 		for i := 0; i < bn; i++ {
-			alive[i] = true
+			alive[i] = 1
 		}
-		// residual[pi] collects the block-local rows predicate pi cannot
-		// decide from codes; resolved in one gather per predicate below.
-		var residual [][]int
 		for pi := range f.preds {
 			pp := &f.preds[pi]
 			codes := src.ColumnBlock(pp.col, blk, scratch)
 			scratch = codes
-			var undecided []int
-			for i := 0; i < bn; i++ {
-				if !alive[i] {
-					continue
-				}
-				switch pp.class[codes[i]] {
-				case binFalse:
-					alive[i] = false
-				case binMaybe:
+			undecided := residual[pi][:0]
+			for i, code := range codes[:bn] {
+				cl := uint8(pp.class[code])
+				live := alive[i] & cl
+				alive[i] = live
+				if live&(cl>>1) != 0 {
 					undecided = append(undecided, i)
 				}
 			}
-			if undecided != nil {
-				if residual == nil {
-					residual = make([][]int, len(f.preds))
-				}
-				residual[pi] = undecided
-			}
+			residual[pi] = undecided
 		}
 		off := blk * br
 		for pi := range residual {
 			pp := &f.preds[pi]
-			var local, global []int
+			local := residual[pi][:0]
+			global = global[:0]
 			for _, i := range residual[pi] {
-				if alive[i] { // an earlier predicate may have killed the row
+				if alive[i] != 0 { // an earlier predicate may have killed the row
 					local = append(local, i)
 					global = append(global, start+off+i)
 				}
@@ -371,7 +369,7 @@ func (f *Filter) stream(src CodeSource, start int, cells CellFn, emit func(first
 			}
 			for j, i := range local {
 				if !pp.pred.MatchesCell(pp.kind, rendered[j]) {
-					alive[i] = false
+					alive[i] = 0
 				}
 			}
 		}

@@ -211,6 +211,40 @@ func TestFilterLimitIsPrefix(t *testing.T) {
 	if !reflect.DeepEqual(got, all[:7]) {
 		t.Fatalf("limited rows %v, want prefix %v", got, all[:7])
 	}
+
+	// Over a small-block store the scan stops after the block holding the
+	// limit-th match, whether that match ends its block or not.
+	const blockRows = 16
+	store := &countingSource{CodeSource: storeFor(t, b, blockRows)}
+	for limit := 1; limit <= len(all)+3; limit++ {
+		store.blocks = 0
+		got, err := f.MatchingRows(store, 0, cells, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := all[:min(limit, len(all))]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("limit %d over the store: rows %v, want prefix %v", limit, got, want)
+		}
+		wantBlocks := store.NumBlocks()
+		if limit <= len(all) {
+			wantBlocks = all[limit-1]/blockRows + 1
+		}
+		if store.blocks != wantBlocks {
+			t.Fatalf("limit %d: read %d blocks, want %d", limit, store.blocks, wantBlocks)
+		}
+	}
+}
+
+// countingSource counts the column blocks read through it.
+type countingSource struct {
+	binning.CodeSource
+	blocks int
+}
+
+func (s *countingSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
+	s.blocks++
+	return s.CodeSource.ColumnBlock(c, blk, scratch)
 }
 
 // TestExactFilterNeverReadsCells pins the paged-table guarantee: a filter
