@@ -302,8 +302,8 @@ func nthSmallest(hs []uint64, k int) uint64 {
 	return hs[k]
 }
 
-// mergeSorted merges ascending a with b, sorting b first if it is not
-// already ascending (a candidate order that was not).
+// mergeSorted merges ascending a with b. b is sorted first when it is not
+// ascending, which happens only when the candidate rows were not.
 func mergeSorted(a, b []int) []int {
 	if !slices.IsSorted(b) {
 		slices.Sort(b)
