@@ -6,48 +6,14 @@ package core
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
-
-	"subtab/internal/binning"
-	"subtab/internal/codestore"
-	"subtab/internal/datagen"
 )
 
 func TestStratifiedReservoirStreamsFromStore(t *testing.T) {
-	ds := datagen.Generic(1200, 6, 5, 9)
-	mem, err := binning.Bin(ds.T, binning.Options{MaxBins: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := sampleTestBinned(t, 1200, 9)
 	// An independent binned twin switched onto a store with tiny blocks, so
 	// every scan crosses many chunk boundaries.
-	ooc, err := binning.Bin(ds.T, binning.Options{MaxBins: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sample.codes")
-	w, err := codestore.Create(path, ooc.NumCols(), 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ooc.ExportCodes(w, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := codestore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := ooc.AttachStore(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := ooc.DropInlineCodes(); err != nil {
-		t.Fatal(err)
-	}
+	ooc := storeTwin(t, 1200, 9)
 
 	cols := make([]int, mem.NumCols())
 	for i := range cols {
