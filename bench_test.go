@@ -229,16 +229,6 @@ func BenchmarkKMeansRows(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeansRowsSliceAPI measures the same clustering through the
-// slice-of-slices compatibility wrapper (the packing cost is the delta).
-func BenchmarkKMeansRowsSliceAPI(b *testing.B) {
-	rows := benchRowMatrix(b, 3000).Rows()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cluster.KMeans(rows, 10, cluster.Options{Seed: 1})
-	}
-}
-
 // BenchmarkCellCoverage measures one combined-score evaluation — the unit
 // of work for RAN, MAB and greedy.
 func BenchmarkCellCoverage(b *testing.B) {

@@ -13,8 +13,7 @@
 // 3000-row FL table, "large" is the Fig9SelectLarge set (exact-path 100k
 // baseline, scaled 100k, scaled 1M — the interactivity claim for
 // million-row tables), "oocore" is the out-of-core set (scaled selection
-// over an mmap'd code store, with and without slab spilling, on a table
-// larger than the configured memory budget), "shard" is the sharded
+// over an mmap'd code store), "shard" is the sharded
 // scatter/gather set (scaled selection fanned out across 4 shard stores,
 // the number to compare against OOCoreSelect/1M), "colstore" is the paged
 // raw-column set (rendering a display-sized view from the mmap'd column
@@ -370,12 +369,9 @@ func runLargeSuite(run func(name string, fn func(b *testing.B))) {
 }
 
 // runOOCoreSuite measures the out-of-core selection path: a 1M-row model
-// whose bin codes live in an mmap'd code store (inline codes dropped), far
-// larger than the configured slab budget. OOCoreSelect/1M is the
-// store-streaming scaled select with an in-memory sampled slab — the
-// number to compare against Fig9SelectLarge/1M, whose codes are resident;
-// OOCoreSelectSpill/1M additionally caps the sampled tuple-vector slab at
-// 256KiB so every select builds, spills and re-reads it from disk.
+// whose bin codes live in an mmap'd code store (inline codes dropped).
+// OOCoreSelect/1M is the store-streaming scaled select — the number to
+// compare against Fig9SelectLarge/1M, whose codes are resident.
 func runOOCoreSuite(run func(name string, fn func(b *testing.B))) {
 	const rows = 1_000_000
 	ds, err := datagen.ByName("FL", rows, 1)
@@ -404,15 +400,6 @@ func runOOCoreSuite(run func(name string, fn func(b *testing.B))) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.SelectWith(nil, 10, 10, nil, scale); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	spill := &subtab.ScaleOptions{Threshold: 50_000, SlabBudgetBytes: 256 << 10}
-	run("OOCoreSelectSpill/1M", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.SelectWith(nil, 10, 10, nil, spill); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -71,7 +71,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload seed (sizes, datasets, op streams, popularity)")
 		zipfS      = flag.Float64("zipf-s", 1.2, "zipf exponent of table popularity (>1; larger = hotter head)")
 		memBudget  = flag.String("memory-budget", "64MiB", "server's process-wide governed budget (empty = ungoverned)")
-		slabBudget = flag.String("slab-budget", "", "server's per-request slab spill budget (empty = never spill)")
 		tableConc  = flag.Int("table-concurrency", 4, "server's per-table concurrent select limit (0 = unlimited)")
 		maxModels  = flag.Int("max-models", 256, "server's in-memory model count backstop")
 		out        = flag.String("out", "BENCH_PR9.json", "subtab-bench-format JSON file to merge results into")
@@ -97,10 +96,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("-memory-budget: %v", err)
 	}
-	slab, err := parseByteSize(*slabBudget)
-	if err != nil {
-		log.Fatalf("-slab-budget: %v", err)
-	}
 	rssLimit, err := parseByteSize(*assertRSS)
 	if err != nil {
 		log.Fatalf("-assert-rss: %v", err)
@@ -118,7 +113,6 @@ func main() {
 	}
 	defer os.RemoveAll(cacheDir)
 	opt := subtab.DefaultOptions()
-	opt.Scale.SlabBudgetBytes = slab
 	store := serve.NewStore(serve.StoreOptions{MaxModels: *maxModels, Dir: cacheDir, Governor: gov})
 	svc := serve.NewService(store, opt)
 	svc.SetAdmission(gov, *tableConc)
@@ -380,7 +374,7 @@ func (h *harness) upload(w *workerState, i int, replace bool) {
 }
 
 // sel POSTs a select; every other request forces the scaled path so the
-// sample caches and slab admission see traffic too.
+// sample caches and sampled-vector admission see traffic too.
 func (h *harness) sel(w *workerState, i int) {
 	w.ops++
 	req := `{"k":6,"l":4}`

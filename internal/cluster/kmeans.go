@@ -4,8 +4,7 @@
 // are clustered and the points nearest each centroid become the sub-table's
 // rows and columns (the paper uses sklearn's KMeans for this).
 //
-// The native input is a contiguous f32.Matrix (KMeansMatrix); the
-// slice-of-slices KMeans entry point packs and delegates. The assignment
+// The input is a contiguous f32.Matrix (KMeansMatrix). The assignment
 // step — the O(n·k·dim) bulk of every Lloyd iteration — runs across workers
 // and prunes distance computations that provably cannot win, while the
 // centroid-update step stays serial: its float accumulation order is part of
@@ -16,7 +15,6 @@ package cluster
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"subtab/internal/f32"
 )
@@ -51,12 +49,6 @@ type Result struct {
 	Centers    [][]float32 // k centroids (views into one contiguous slab)
 	Sizes      []int       // points per cluster
 	Iterations int
-}
-
-// KMeans clusters slice-of-slices points by packing them into a flat matrix
-// and delegating to KMeansMatrix. Points must share one dimension.
-func KMeans(points [][]float32, k int, opt Options) *Result {
-	return KMeansMatrix(f32.FromRows(points), k, opt)
 }
 
 // KMeansMatrix clusters the rows of pts into k clusters. When
@@ -187,18 +179,10 @@ func repairEmptyClusters(pts, centers f32.Matrix, assign, sizes []int) {
 	}
 }
 
-// Representatives returns, for each cluster, the index of the point nearest
-// its centroid — the "centroid selection" of Algorithm 2. Clusters are
-// ordered by descending size so that callers taking a prefix favour the
+// RepresentativesMatrix returns, for each cluster, the index of the point
+// nearest its centroid — the "centroid selection" of Algorithm 2. Clusters
+// are ordered by descending size so that callers taking a prefix favour the
 // dominant patterns; empty clusters are skipped.
-//
-// Deprecated: use RepresentativesMatrix, which takes the pipeline's native
-// flat matrix and avoids the slice-of-slices packing copy.
-func (r *Result) Representatives(points [][]float32) []int {
-	return r.RepresentativesMatrix(f32.FromRows(points))
-}
-
-// RepresentativesMatrix is Representatives over a flat matrix (no packing).
 // The per-cluster nearest-point scan fans out in chunks whose partial argmins
 // merge in chunk order (MapReduceOrdered): within a chunk the ascending scan
 // keeps the first achiever of each minimum, and the ordered strict-less merge
@@ -258,86 +242,6 @@ func (r *Result) RepresentativesMatrix(pts f32.Matrix) []int {
 	return out
 }
 
-// RepresentativesDispersed selects one representative per cluster like
-// Representatives, but among each cluster's q most-central members it picks
-// the one farthest from the representatives already chosen (greedy max-min
-// dispersion). Centrality keeps representatives typical of their pattern;
-// the dispersion tie-break keeps the selected set visibly diverse — the two
-// goals of the paper's centroid-based selection.
-//
-// Deprecated: use RepresentativesDispersedMatrix, which takes the pipeline's
-// native flat matrix and avoids the slice-of-slices packing copy.
-func (r *Result) RepresentativesDispersed(points [][]float32, q int) []int {
-	return r.RepresentativesDispersedMatrix(f32.FromRows(points), q)
-}
-
-// RepresentativesDispersedMatrix is RepresentativesDispersed over a flat
-// matrix (no packing). The greedy dispersion scan is serial in cluster-size
-// order with index-order tie-breaks, so the selection is one fixed function
-// of (clustering, pts, q).
-func (r *Result) RepresentativesDispersedMatrix(pts f32.Matrix, q int) []int {
-	if r.K == 0 {
-		return nil
-	}
-	if q <= 1 {
-		return r.RepresentativesMatrix(pts)
-	}
-	// Per cluster: the q members nearest the centroid.
-	type cand struct {
-		idx int
-		d   float64
-	}
-	cands := make([][]cand, r.K)
-	for i := 0; i < pts.R; i++ {
-		c := r.Assign[i]
-		cands[c] = append(cands[c], cand{i, f32.SqDist(pts.Row(i), r.Centers[c])})
-	}
-	for c := range cands {
-		sort.Slice(cands[c], func(x, y int) bool { return cands[c][x].d < cands[c][y].d })
-		if len(cands[c]) > q {
-			cands[c] = cands[c][:q]
-		}
-	}
-	order := make([]int, r.K)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if r.Sizes[order[x]] != r.Sizes[order[y]] {
-			return r.Sizes[order[x]] > r.Sizes[order[y]]
-		}
-		return order[x] < order[y]
-	})
-	var out []int
-	for _, c := range order {
-		if len(cands[c]) == 0 {
-			continue
-		}
-		best, bestScore := -1, -1.0
-		for _, cd := range cands[c] {
-			minD := math.Inf(1)
-			for _, sel := range out {
-				if d := f32.SqDist(pts.Row(cd.idx), pts.Row(sel)); d < minD {
-					minD = d
-				}
-			}
-			if len(out) == 0 {
-				minD = 0
-			}
-			// Prefer far-from-selected; break ties toward centrality.
-			score := minD - 1e-9*cd.d
-			if best < 0 || score > bestScore {
-				best, bestScore = cd.idx, score
-			}
-		}
-		if len(out) == 0 {
-			best = cands[c][0].idx // first cluster: the most central member
-		}
-		out = append(out, best)
-	}
-	return out
-}
-
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting. The
 // rng draws and the D² accumulation stay serial (their order is part of the
 // determinism contract); the per-point distance refreshes fan out across
@@ -384,21 +288,4 @@ func seedPlusPlus(pts f32.Matrix, k int, rng *rand.Rand, workers int) f32.Matrix
 		})
 	}
 	return centers
-}
-
-// sqDist returns the squared Euclidean distance (kept for in-package
-// callers; the implementation lives in the f32 kernel set).
-func sqDist(a, b []float32) float64 { return f32.SqDist(a, b) }
-
-// Inertia returns the total within-cluster squared distance — the k-means
-// objective, useful for tests and ablations.
-func (r *Result) Inertia(points [][]float32) float64 {
-	if r.K == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range points {
-		s += f32.SqDist(p, r.Centers[r.Assign[i]])
-	}
-	return s
 }

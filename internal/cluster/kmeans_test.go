@@ -4,47 +4,59 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"subtab/internal/f32"
 )
 
-// blobs generates k well-separated Gaussian blobs.
-func blobs(nPer, k, dim int, seed int64) ([][]float32, []int) {
+// matBlobs generates k well-separated Gaussian blobs of nPer points each,
+// packed into one flat matrix, with each point's true blob label.
+func matBlobs(nPer, k, dim int, seed int64) (f32.Matrix, []int) {
 	rng := rand.New(rand.NewSource(seed))
-	var pts [][]float32
-	var labels []int
+	pts := f32.New(nPer*k, dim)
+	labels := make([]int, 0, nPer*k)
 	for c := 0; c < k; c++ {
 		for i := 0; i < nPer; i++ {
-			p := make([]float32, dim)
-			for d := 0; d < dim; d++ {
+			p := pts.Row(len(labels))
+			for d := range p {
 				p[d] = float32(10*float64(c) + rng.NormFloat64()*0.5)
 			}
-			pts = append(pts, p)
 			labels = append(labels, c)
 		}
 	}
 	return pts, labels
 }
 
+// inertia returns the total within-cluster squared distance — the k-means
+// objective.
+func inertia(r *Result, pts f32.Matrix) float64 {
+	s := 0.0
+	for i := 0; i < pts.R; i++ {
+		s += f32.SqDist(pts.Row(i), r.Centers[r.Assign[i]])
+	}
+	return s
+}
+
 func TestKMeansEmpty(t *testing.T) {
-	res := KMeans(nil, 3, Options{Seed: 1})
+	res := KMeansMatrix(f32.Matrix{}, 3, Options{Seed: 1})
 	if res.K != 0 {
 		t.Fatalf("K = %d", res.K)
 	}
-	if res.Representatives(nil) != nil {
+	if res.RepresentativesMatrix(f32.Matrix{}) != nil {
 		t.Fatal("representatives of empty should be nil")
 	}
 }
 
 func TestKMeansKZero(t *testing.T) {
-	pts, _ := blobs(5, 2, 2, 1)
-	res := KMeans(pts, 0, Options{Seed: 1})
+	pts, _ := matBlobs(5, 2, 2, 1)
+	res := KMeansMatrix(pts, 0, Options{Seed: 1})
 	if res.K != 0 {
 		t.Fatalf("K = %d", res.K)
 	}
 }
 
 func TestKMeansKGreaterThanN(t *testing.T) {
-	pts, _ := blobs(2, 2, 2, 2) // 4 points
-	res := KMeans(pts, 10, Options{Seed: 1})
+	pts, _ := matBlobs(2, 2, 2, 2) // 4 points
+	res := KMeansMatrix(pts, 10, Options{Seed: 1})
 	if res.K != 4 {
 		t.Fatalf("K = %d, want 4", res.K)
 	}
@@ -53,15 +65,15 @@ func TestKMeansKGreaterThanN(t *testing.T) {
 			t.Fatalf("assign = %v", res.Assign)
 		}
 	}
-	reps := res.Representatives(pts)
+	reps := res.RepresentativesMatrix(pts)
 	if len(reps) != 4 {
 		t.Fatalf("reps = %v", reps)
 	}
 }
 
 func TestKMeansSeparatesBlobs(t *testing.T) {
-	pts, labels := blobs(50, 3, 4, 3)
-	res := KMeans(pts, 3, Options{Seed: 7})
+	pts, labels := matBlobs(50, 3, 4, 3)
+	res := KMeansMatrix(pts, 3, Options{Seed: 7})
 	// Every true blob must map to exactly one cluster.
 	blobToCluster := map[int]int{}
 	for i, lbl := range labels {
@@ -80,12 +92,13 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 }
 
 func TestAssignmentsAreNearest(t *testing.T) {
-	pts, _ := blobs(30, 3, 3, 5)
-	res := KMeans(pts, 3, Options{Seed: 5})
-	for i, p := range pts {
-		assigned := sqDist(p, res.Centers[res.Assign[i]])
+	pts, _ := matBlobs(30, 3, 3, 5)
+	res := KMeansMatrix(pts, 3, Options{Seed: 5})
+	for i := 0; i < pts.R; i++ {
+		p := pts.Row(i)
+		assigned := f32.SqDist(p, res.Centers[res.Assign[i]])
 		for c := range res.Centers {
-			if d := sqDist(p, res.Centers[c]); d < assigned-1e-9 {
+			if d := f32.SqDist(p, res.Centers[c]); d < assigned-1e-9 {
 				t.Fatalf("point %d assigned to %d (d=%v) but %d is closer (d=%v)", i, res.Assign[i], assigned, c, d)
 			}
 		}
@@ -93,14 +106,14 @@ func TestAssignmentsAreNearest(t *testing.T) {
 }
 
 func TestSizesConsistent(t *testing.T) {
-	pts, _ := blobs(40, 2, 2, 6)
-	res := KMeans(pts, 2, Options{Seed: 6})
+	pts, _ := matBlobs(40, 2, 2, 6)
+	res := KMeansMatrix(pts, 2, Options{Seed: 6})
 	total := 0
 	for _, s := range res.Sizes {
 		total += s
 	}
-	if total != len(pts) {
-		t.Fatalf("sizes sum %d != n %d", total, len(pts))
+	if total != pts.R {
+		t.Fatalf("sizes sum %d != n %d", total, pts.R)
 	}
 	counts := make([]int, res.K)
 	for _, c := range res.Assign {
@@ -114,15 +127,15 @@ func TestSizesConsistent(t *testing.T) {
 }
 
 func TestRepresentativesAreClusterMembers(t *testing.T) {
-	pts, _ := blobs(25, 4, 3, 8)
-	res := KMeans(pts, 4, Options{Seed: 8})
-	reps := res.Representatives(pts)
+	pts, _ := matBlobs(25, 4, 3, 8)
+	res := KMeansMatrix(pts, 4, Options{Seed: 8})
+	reps := res.RepresentativesMatrix(pts)
 	if len(reps) != 4 {
 		t.Fatalf("reps = %v", reps)
 	}
 	seen := map[int]bool{}
 	for _, r := range reps {
-		if r < 0 || r >= len(pts) {
+		if r < 0 || r >= pts.R {
 			t.Fatalf("rep %d out of range", r)
 		}
 		if seen[r] {
@@ -141,14 +154,14 @@ func TestRepresentativesAreClusterMembers(t *testing.T) {
 }
 
 func TestRepresentativeIsNearestToCenter(t *testing.T) {
-	pts, _ := blobs(30, 2, 2, 9)
-	res := KMeans(pts, 2, Options{Seed: 9})
-	reps := res.Representatives(pts)
+	pts, _ := matBlobs(30, 2, 2, 9)
+	res := KMeansMatrix(pts, 2, Options{Seed: 9})
+	reps := res.RepresentativesMatrix(pts)
 	for _, rep := range reps {
 		c := res.Assign[rep]
-		repD := sqDist(pts[rep], res.Centers[c])
-		for i, p := range pts {
-			if res.Assign[i] == c && sqDist(p, res.Centers[c]) < repD-1e-9 {
+		repD := f32.SqDist(pts.Row(rep), res.Centers[c])
+		for i := 0; i < pts.R; i++ {
+			if res.Assign[i] == c && f32.SqDist(pts.Row(i), res.Centers[c]) < repD-1e-9 {
 				t.Fatalf("rep %d not nearest to center %d (point %d closer)", rep, c, i)
 			}
 		}
@@ -156,9 +169,9 @@ func TestRepresentativeIsNearestToCenter(t *testing.T) {
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
-	pts, _ := blobs(40, 3, 3, 10)
-	a := KMeans(pts, 3, Options{Seed: 42})
-	b := KMeans(pts, 3, Options{Seed: 42})
+	pts, _ := matBlobs(40, 3, 3, 10)
+	a := KMeansMatrix(pts, 3, Options{Seed: 42})
+	b := KMeansMatrix(pts, 3, Options{Seed: 42})
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("same seed must give same clustering")
@@ -167,27 +180,27 @@ func TestDeterministicWithSeed(t *testing.T) {
 }
 
 func TestIdenticalPoints(t *testing.T) {
-	pts := make([][]float32, 10)
-	for i := range pts {
-		pts[i] = []float32{1, 1}
+	pts := f32.New(10, 2)
+	for i := range pts.Data {
+		pts.Data[i] = 1
 	}
-	res := KMeans(pts, 3, Options{Seed: 11})
+	res := KMeansMatrix(pts, 3, Options{Seed: 11})
 	if res.K != 3 {
 		t.Fatalf("K = %d", res.K)
 	}
-	if res.Inertia(pts) != 0 {
-		t.Fatalf("inertia = %v", res.Inertia(pts))
+	if in := inertia(res, pts); in != 0 {
+		t.Fatalf("inertia = %v", in)
 	}
-	reps := res.Representatives(pts)
+	reps := res.RepresentativesMatrix(pts)
 	if len(reps) == 0 {
 		t.Fatal("expected representatives")
 	}
 }
 
 func TestInertiaDecreasesWithK(t *testing.T) {
-	pts, _ := blobs(30, 4, 3, 12)
-	i1 := KMeans(pts, 1, Options{Seed: 12}).Inertia(pts)
-	i4 := KMeans(pts, 4, Options{Seed: 12}).Inertia(pts)
+	pts, _ := matBlobs(30, 4, 3, 12)
+	i1 := inertia(KMeansMatrix(pts, 1, Options{Seed: 12}), pts)
+	i4 := inertia(KMeansMatrix(pts, 4, Options{Seed: 12}), pts)
 	if i4 >= i1 {
 		t.Fatalf("inertia k=4 (%v) should be < k=1 (%v)", i4, i1)
 	}
@@ -198,8 +211,8 @@ func TestInertiaDecreasesWithK(t *testing.T) {
 
 func TestEmptyClusterRepair(t *testing.T) {
 	// Two far blobs, k=3: one cluster would go empty without repair.
-	pts, _ := blobs(20, 2, 2, 13)
-	res := KMeans(pts, 3, Options{Seed: 13})
+	pts, _ := matBlobs(20, 2, 2, 13)
+	res := KMeansMatrix(pts, 3, Options{Seed: 13})
 	for c, s := range res.Sizes {
 		if s == 0 {
 			t.Fatalf("cluster %d empty: sizes %v", c, res.Sizes)
@@ -208,8 +221,8 @@ func TestEmptyClusterRepair(t *testing.T) {
 }
 
 func TestConvergesWithinMaxIter(t *testing.T) {
-	pts, _ := blobs(100, 3, 8, 14)
-	res := KMeans(pts, 3, Options{Seed: 14, MaxIter: 100})
+	pts, _ := matBlobs(100, 3, 8, 14)
+	res := KMeansMatrix(pts, 3, Options{Seed: 14, MaxIter: 100})
 	if res.Iterations >= 100 {
 		t.Fatalf("did not converge: %d iterations", res.Iterations)
 	}

@@ -54,9 +54,8 @@ func (o MiniBatchOptions) withDefaults(n int) MiniBatchOptions {
 // the selection pipeline cluster candidate samples of million-row tables
 // interactively. After converging it runs one full assignment pass (plus the
 // shared empty-cluster repair) over every point, so Result.Assign/Sizes
-// describe the whole input and the representative selectors
-// (RepresentativesMatrix, RepresentativesDispersedMatrix) work exactly as
-// they do on the exact path. When k >= pts.R every point becomes its own
+// describe the whole input and RepresentativesMatrix works exactly as it
+// does on the exact path. When k >= pts.R every point becomes its own
 // cluster, as in KMeansMatrix.
 //
 // Determinism contract (same as KMeansMatrix): the rng draws, the center

@@ -6,13 +6,6 @@ import (
 	"subtab/internal/f32"
 )
 
-// matBlobs packs the blobs helper's output into a flat matrix (nPer points
-// per cluster).
-func matBlobs(nPer, k, dim int, seed int64) (f32.Matrix, []int) {
-	pts, labels := blobs(nPer, k, dim, seed)
-	return f32.FromRows(pts), labels
-}
-
 func TestMiniBatchKMeansRecoversBlobs(t *testing.T) {
 	pts, truth := matBlobs(1250, 4, 8, 1)
 	res := MiniBatchKMeans(pts, 4, MiniBatchOptions{Seed: 3})
@@ -109,23 +102,6 @@ func TestMiniBatchKMeansNoEmptyClusters(t *testing.T) {
 	for c, s := range res.Sizes {
 		if s == 0 {
 			t.Fatalf("cluster %d left empty (sizes %v)", c, res.Sizes)
-		}
-	}
-}
-
-// TestRepresentativesDispersedMatrixMatchesSlices pins the matrix-native
-// variant to the deprecated slice-of-slices entry point.
-func TestRepresentativesDispersedMatrixMatchesSlices(t *testing.T) {
-	pts, _ := matBlobs(200, 3, 5, 4)
-	res := KMeansMatrix(pts, 3, Options{Seed: 2})
-	want := res.RepresentativesDispersed(pts.Rows(), 8)
-	got := res.RepresentativesDispersedMatrix(pts, 8)
-	if len(want) != len(got) {
-		t.Fatalf("lengths differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("representative %d differs: %d vs %d", i, want[i], got[i])
 		}
 	}
 }

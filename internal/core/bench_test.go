@@ -100,17 +100,17 @@ func BenchmarkDiverseRepresentatives(b *testing.B) {
 	} {
 		vecs := f32.New(len(bc.rows), m.Emb.Dim())
 		f32.GatherRows(vecs, full, bc.rows)
-		slab := f32.WrapSlab(vecs)
 		var res *cluster.Result
 		if bc.sample {
-			res = m.scaledRowClustering(slab, 10, ScaleOptions{}.withDefaults())
+			sc := ScaleOptions{}.withDefaults()
+			res = cluster.MiniBatchKMeans(vecs, 10, cluster.MiniBatchOptions{BatchSize: sc.BatchSize, MaxIter: sc.MaxIter, Seed: m.Opt.ClusterSeed})
 		} else {
 			res = cluster.KMeansMatrix(vecs, 10, cluster.Options{Seed: m.Opt.ClusterSeed})
 		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				m.diverseRepresentatives(res, slab, bc.rows, cols, 16, nil)
+				m.diverseRepresentatives(res, vecs, bc.rows, cols, 16, nil)
 			}
 		})
 	}

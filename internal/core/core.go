@@ -581,7 +581,7 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 	// model: every downstream code read of this selection goes through it
 	// instead of the (partly remote) shard source.
 	var csrc binning.CodeSource
-	var rowSlab *f32.Slab
+	var rowVecs f32.Matrix
 	var rowRes *cluster.Result
 	if pushdown || scale.Active(len(rows)) {
 		scale = scale.withDefaults()
@@ -618,13 +618,14 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 		} else {
 			candRows = m.sampleCandidates(rows, cols, scale.SampleBudget)
 		}
-		slab, done, err := m.sampledRowSlab(candRows, cols, scale, csrc)
-		if err != nil {
-			return nil, fmt.Errorf("core: building sampled tuple-vector slab: %w", err)
-		}
-		defer done()
-		rowSlab = slab
-		rowRes = m.scaledRowClustering(rowSlab, k, scale)
+		var release func()
+		rowVecs, release = m.sampledRowVectors(candRows, cols, csrc)
+		defer release()
+		rowRes = cluster.MiniBatchKMeans(rowVecs, k, cluster.MiniBatchOptions{
+			BatchSize: scale.BatchSize,
+			MaxIter:   scale.MaxIter,
+			Seed:      m.Opt.ClusterSeed,
+		})
 	} else if identityCols(cols, m.T.NumCols()) && !m.OutOfCore() {
 		// Store-backed models skip this branch: warming the n×dim full-table
 		// vector cache would resurrect the very footprint the code store
@@ -632,26 +633,23 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 		// gather computes bit-identical vectors; see gatherTupleVectors).
 		full := m.fullRowVectors()
 		if len(rows) == m.T.NumRows() && identityRows(rows) {
-			rowSlab = f32.WrapSlab(full)
+			rowVecs = full
 		} else {
 			buf := getVecBuf(len(rows) * dim)
 			defer putVecBuf(buf)
-			rowVecs := f32.Wrap(len(rows), dim, *buf)
+			rowVecs = f32.Wrap(len(rows), dim, *buf)
 			f32.GatherRows(rowVecs, full, rows)
-			rowSlab = f32.WrapSlab(rowVecs)
 		}
 	} else {
 		buf := getVecBuf(len(rows) * dim)
 		defer putVecBuf(buf)
-		rowVecs := f32.Wrap(len(rows), dim, *buf)
+		rowVecs = f32.Wrap(len(rows), dim, *buf)
 		m.gatherTupleVectors(rowVecs, rows, cols, nil)
-		rowSlab = f32.WrapSlab(rowVecs)
 	}
 	if rowRes == nil {
-		mat, _ := rowSlab.Matrix() // exact-path slabs are always resident
-		rowRes = cluster.KMeansMatrix(mat, k, cluster.Options{Seed: m.Opt.ClusterSeed})
+		rowRes = cluster.KMeansMatrix(rowVecs, k, cluster.Options{Seed: m.Opt.ClusterSeed})
 	}
-	repIdx := m.diverseRepresentatives(rowRes, rowSlab, candRows, cols, 16, csrc)
+	repIdx := m.diverseRepresentatives(rowRes, rowVecs, candRows, cols, 16, csrc)
 	selRows := make([]int, 0, len(repIdx))
 	for _, i := range repIdx {
 		selRows = append(selRows, candRows[i])
@@ -719,36 +717,19 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 // lower candidate index. The per-point centroid distances and the per-candidate
 // Jaccard scans run across workers; each slot is written by exactly one
 // index and the final argmin scan is serial with first-wins ties, so the
-// result is bit-identical to the serial path. The vectors arrive as a slab:
-// resident slabs are scanned in place, spilled slabs chunk by chunk, with
-// identical distances either way. src, when non-nil, overrides where the
-// Jaccard comparisons read their codes (the coordinator overlay).
-func (m *Model) diverseRepresentatives(res *cluster.Result, vecs *f32.Slab, rows, cols []int, q int, src binning.CodeSource) []int {
+// result is bit-identical to the serial path. src, when non-nil, overrides
+// where the Jaccard comparisons read their codes (the coordinator overlay).
+func (m *Model) diverseRepresentatives(res *cluster.Result, vecs f32.Matrix, rows, cols []int, q int, src binning.CodeSource) []int {
 	if res.K == 0 {
 		return nil
 	}
-	n := vecs.Len()
+	n := vecs.R
 	ds := make([]float64, n)
-	if mat, resident := vecs.Matrix(); resident {
-		f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
-			for i := start; i < end; i++ {
-				ds[i] = f32.SqDist(mat.Row(i), res.Centers[res.Assign[i]])
-			}
-		})
-	} else {
-		chunkRows := min(vecs.ChunkRows(), n)
-		buf := f32.New(chunkRows, vecs.Dim())
-		for start := 0; start < n; start += chunkRows {
-			cn := min(chunkRows, n-start)
-			chunk := f32.Wrap(cn, vecs.Dim(), buf.Data[:cn*vecs.Dim()])
-			vecs.ReadChunk(start, chunk)
-			f32.ParallelRange(cn, f32.Workers(cn), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ds[start+i] = f32.SqDist(chunk.Row(i), res.Centers[res.Assign[start+i]])
-				}
-			})
+	f32.ParallelRange(n, f32.Workers(n), func(start, end int) {
+		for i := start; i < end; i++ {
+			ds[i] = f32.SqDist(vecs.Row(i), res.Centers[res.Assign[i]])
 		}
-	}
+	})
 	// Each cluster keeps its q nearest members in ascending (distance,
 	// index) order, one insertion pass over the points: a member enters
 	// only if it beats the current q-th, and equal distances keep the

@@ -13,9 +13,9 @@ import (
 // memory. ExportCodeStore writes them, AttachCodeStore switches reads to
 // the store, and DropInlineCodes releases the in-memory copy; from then on
 // the scaled Select path streams the stratified sampler over store blocks
-// and gathers only the sampled rows' tuple-vectors, so selection memory is
-// bounded by the sample budget (and, with ScaleOptions.SlabBudgetBytes, by
-// the spill threshold) rather than the table. Selections are bit-identical
+// and gathers only the sampled rows' tuple-vectors into one pooled matrix,
+// so selection memory is bounded by the sample budget rather than the
+// table. Selections are bit-identical
 // to the in-memory path. Operations that need the full code matrix at
 // memory speed — rule mining, incremental append — transparently
 // materialize a private copy (see binning.MaterializedCodes).

@@ -2,9 +2,8 @@
 // The CI workflow generates a 1M-row table with subtab-datagen, points
 // SUBTAB_OOC_SMOKE_CSV at it and runs this test under GOMEMLIMIT=256MiB:
 // the table is pre-processed, its bin codes are moved to an mmap'd code
-// store (inline codes dropped), and a scaled Select with a spill-forcing
-// slab budget must finish inside the wall-clock bound with the process
-// peak RSS under the asserted ceiling. Without the env var the test skips,
+// store (inline codes dropped), and a scaled Select must finish inside the
+// wall-clock bound with the process peak RSS under the asserted ceiling. Without the env var the test skips,
 // so routine `go test ./...` runs never pay for the 1M-row setup.
 package core_test
 
@@ -78,9 +77,7 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	defer cs.Close()
 	t.Logf("code store: %d blocks of %d rows, mmap=%v", cs.NumBlocks(), cs.BlockRows(), cs.Mapped())
 
-	// Slab budget below the sampled vectors' size (20000 x 8 x 4B = 640KiB)
-	// so the spill path runs under the memory cap too.
-	scale := &core.ScaleOptions{Threshold: 50_000, SlabBudgetBytes: 256 << 10}
+	scale := &core.ScaleOptions{Threshold: 50_000}
 	start := time.Now()
 	st, err := m.SelectWith(nil, 10, 8, nil, scale)
 	elapsed := time.Since(start)
@@ -95,8 +92,8 @@ func TestOutOfCoreSmoke(t *testing.T) {
 	}
 	t.Logf("out-of-core scaled Select: %s", elapsed)
 
-	// A warm repeat must agree byte for byte (the sample cache and the
-	// spill path compose deterministically).
+	// A warm repeat must agree byte for byte (the sample cache composes
+	// deterministically).
 	again, err := m.SelectWith(nil, 10, 8, nil, scale)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"subtab/internal/binning"
-	"subtab/internal/cluster"
 	"subtab/internal/f32"
 )
 
@@ -33,14 +32,6 @@ type ScaleOptions struct {
 	BatchSize int
 	// MaxIter bounds mini-batch iterations (default 100).
 	MaxIter int
-	// SlabBudgetBytes caps the in-memory size of the sampled tuple-vector
-	// slab: a sample whose vectors (SampleBudget × dim × 4 bytes) exceed
-	// the budget is built chunk by chunk into a spill file and clustered by
-	// chunked reads, keeping the selection's resident footprint bounded
-	// regardless of the sample budget. 0 (the default) never spills — the
-	// historical in-memory behaviour. Selections are bit-identical either
-	// way.
-	SlabBudgetBytes int64
 }
 
 // Active reports whether the scaled path handles a candidate set of n rows.
@@ -98,47 +89,24 @@ func (m *Model) sampleCandidates(rows, cols []int, budget int) []int {
 	return s
 }
 
-// sampledRowSlab builds the tuple-vector slab for a sampled candidate set.
-// Under the slab budget (or with no budget) the vectors live in a pooled
-// in-memory matrix; over it they are computed chunk by chunk into a spill
-// file, so the resident cost of a scaled select is the chunk, not the
-// sample. A warm full-table cache turns the in-memory build into a row
-// gather; otherwise only the sampled rows are computed — the scaled path
-// never materializes vectors for rows the sample dropped, which is the
-// point of sampling before embedding lookup on million-row tables.
-// The returned cleanup releases the pooled buffer or the spill file.
-// src, when non-nil, is a code overlay (the coordinator's gathered shard
-// codes) that replaces the model's own code source for the gather.
-func (m *Model) sampledRowSlab(rows, cols []int, scale ScaleOptions, src binning.CodeSource) (*f32.Slab, func(), error) {
+// sampledRowVectors builds the tuple-vector matrix of a sampled candidate
+// set in a pooled buffer. A warm full-table cache turns the build into a
+// row gather; otherwise only the sampled rows are computed — the scaled
+// path never materializes vectors for rows the sample dropped, which is the
+// point of sampling before embedding lookup on million-row tables. The
+// returned release hands the buffer back to the pool. src, when non-nil, is
+// a code overlay (the coordinator's gathered shard codes) that replaces the
+// model's own code source for the gather.
+func (m *Model) sampledRowVectors(rows, cols []int, src binning.CodeSource) (f32.Matrix, func()) {
 	dim := m.Emb.Dim()
-	need := int64(len(rows)) * int64(dim) * 4
-	if scale.SlabBudgetBytes <= 0 || need <= scale.SlabBudgetBytes {
-		buf := getVecBuf(len(rows) * dim)
-		mat := f32.Wrap(len(rows), dim, *buf)
-		if fv, ok := m.cachedFullVecs(); ok && src == nil && identityCols(cols, m.T.NumCols()) {
-			f32.GatherRows(mat, fv, rows)
-		} else {
-			m.gatherTupleVectors(mat, rows, cols, src)
-		}
-		return f32.WrapSlab(mat), func() { putVecBuf(buf) }, nil
+	buf := getVecBuf(len(rows) * dim)
+	mat := f32.Wrap(len(rows), dim, *buf)
+	if fv, ok := m.cachedFullVecs(); ok && src == nil && identityCols(cols, m.T.NumCols()) {
+		f32.GatherRows(mat, fv, rows)
+	} else {
+		m.gatherTupleVectors(mat, rows, cols, src)
 	}
-	slab, err := f32.NewSpillSlab(len(rows), dim, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	chunkRows := min(slab.ChunkRows(), len(rows))
-	buf := getVecBuf(chunkRows * dim)
-	defer putVecBuf(buf)
-	for start := 0; start < len(rows); start += chunkRows {
-		end := min(start+chunkRows, len(rows))
-		chunk := f32.Wrap(end-start, dim, (*buf)[:(end-start)*dim])
-		m.gatherTupleVectors(chunk, rows[start:end], cols, src)
-		if err := slab.WriteChunk(start, chunk); err != nil {
-			slab.Close()
-			return nil, nil, err
-		}
-	}
-	return slab, func() { slab.Close() }, nil
+	return mat, func() { putVecBuf(buf) }
 }
 
 // gatherTupleVectors fills dst with the tuple-vectors of the given rows
@@ -195,17 +163,4 @@ func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, src binning
 		}
 	}
 	f32.MeanPoolRows(dst, m.items, idx, k)
-}
-
-// scaledRowClustering is the row step of the scaled path: cluster the
-// sampled tuple-vector slab with seeded mini-batch k-means (resident slabs
-// take the matrix fast path; spilled slabs are clustered through chunked
-// reads with bit-identical results). The caller maps representative
-// indices back through the sample to real row ids.
-func (m *Model) scaledRowClustering(vecs *f32.Slab, k int, scale ScaleOptions) *cluster.Result {
-	return cluster.MiniBatchKMeansSource(vecs, k, cluster.MiniBatchOptions{
-		BatchSize: scale.BatchSize,
-		MaxIter:   scale.MaxIter,
-		Seed:      m.Opt.ClusterSeed,
-	})
 }

@@ -287,6 +287,32 @@ func TestMeanPoolInto(t *testing.T) {
 	}
 }
 
+// TestMeanPoolRowsMatchesPerRow pins the batched kernel against per-row
+// MeanPoolInto bit for bit, negatives included.
+func TestMeanPoolRowsMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := New(40, 7)
+	for i := range src.Data {
+		src.Data[i] = rng.Float32()*2 - 1
+	}
+	const rows, k = 33, 5
+	idx := make([]int32, rows*k)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(42) - 2) // includes the -1/-2 unseen sentinels
+	}
+	batch := New(rows, 7)
+	MeanPoolRows(batch, src, idx, k)
+	want := make([]float32, 7)
+	for i := 0; i < rows; i++ {
+		MeanPoolInto(want, src, idx[i*k:(i+1)*k])
+		for d := range want {
+			if batch.Row(i)[d] != want[d] {
+				t.Fatalf("row %d dim %d: batched %v, per-row %v", i, d, batch.Row(i)[d], want[d])
+			}
+		}
+	}
+}
+
 func TestParallelRangeCoversDisjointly(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 64} {
 		n := 101

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -123,6 +125,67 @@ func TestRoundTripSelections(t *testing.T) {
 		}
 		if want.View.String() != got.View.String() {
 			t.Fatalf("query %d view diverged after reload:\nsaved:\n%sloaded:\n%s", i, want.View, got.View)
+		}
+	}
+}
+
+// TestSlabBudgetSlotIgnored pins the scale section's v5+ slab spill budget
+// slot, whose option no longer exists: Save writes 0 there, and a file that
+// carries any other value loads and selects byte-identically to one with 0.
+func TestSlabBudgetSlotIgnored(t *testing.T) {
+	m := testModel(t)
+	data := saveBytes(t, m)
+	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != Version {
+		t.Fatalf("saved version %d, want %d", v, Version)
+	}
+	var opts bytes.Buffer
+	writeOptions(&encoder{w: &opts}, m.Opt)
+	slot := len(magic) + 2 + opts.Len() - 8 // the last field of the options
+	if got := binary.LittleEndian.Uint64(data[slot:]); got != 0 {
+		t.Fatalf("Save wrote %d in the slab budget slot, want 0", got)
+	}
+
+	// Re-encode the same file with 64 MiB in the slot and a fresh checksum.
+	var buf bytes.Buffer
+	h := crc32.New(crcTable)
+	e := &encoder{w: io.MultiWriter(&buf, h)}
+	e.bytes(data[:slot])
+	e.i64(64 << 20)
+	e.bytes(data[slot+8 : len(data)-4])
+	sum := h.Sum32()
+	e.w = &buf
+	e.u32(sum)
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	withSlot := buf.Bytes()
+	if len(withSlot) != len(data) || bytes.Equal(withSlot, data) {
+		t.Fatal("re-encoded file should differ from the saved one in the slot only")
+	}
+
+	zero, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonZero, err := Load(bytes.NewReader(withSlot))
+	if err != nil {
+		t.Fatalf("file with a non-zero slab budget slot: %v", err)
+	}
+	if !reflect.DeepEqual(zero.Opt, nonZero.Opt) {
+		t.Fatalf("options differ: %+v vs %+v", zero.Opt, nonZero.Opt)
+	}
+	scaled := &core.ScaleOptions{Threshold: 1, SampleBudget: 200, BatchSize: 64, MaxIter: 20}
+	for _, scale := range []*core.ScaleOptions{nil, scaled} {
+		want, err := zero.SelectWith(nil, 6, 3, nil, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := nonZero.SelectWith(nil, 6, 3, nil, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.SourceRows, got.SourceRows) || want.View.String() != got.View.String() {
+			t.Fatalf("scale %+v: selection depends on the ignored slot:\n got rows %v\nwant rows %v", scale, got.SourceRows, want.SourceRows)
 		}
 	}
 }

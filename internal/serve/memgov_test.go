@@ -208,6 +208,35 @@ func TestServiceAdmission(t *testing.T) {
 	}
 }
 
+// TestEstimateSelectBytes pins the admission reservation against the rows
+// a select can actually materialize. With the scaled mode active for the
+// full table, a filtered select or a drill-down whose candidate set falls
+// under the threshold takes the exact path over up to Threshold-1 rows, so
+// the sample budget alone would under-reserve.
+func TestEstimateSelectBytes(t *testing.T) {
+	m := buildModel(t, "est", 600)
+	dim := int64(m.Emb.Dim())
+	exact := func(n int64) int64 { return n * dim * 4 }
+	scaled := func(n int64) int64 { return n*dim*4 + n*8 }
+	for _, tc := range []struct {
+		name  string
+		scale *core.ScaleOptions
+		want  int64
+	}{
+		{"scaled mode off", nil, exact(600)},
+		{"explicit threshold 0", &core.ScaleOptions{SampleBudget: 100}, exact(600)},
+		{"full table above threshold", &core.ScaleOptions{Threshold: 500, SampleBudget: 100}, scaled(499)},
+		{"budget above threshold", &core.ScaleOptions{Threshold: 200, SampleBudget: 400}, scaled(400)},
+		{"budget above rows", &core.ScaleOptions{Threshold: 100, SampleBudget: 5000}, scaled(600)},
+		{"default budget above rows", &core.ScaleOptions{Threshold: 1}, scaled(600)},
+		{"tiny table under threshold", &core.ScaleOptions{Threshold: 1000, SampleBudget: 100}, exact(600)},
+	} {
+		if got := estimateSelectBytes(m, tc.scale); got != tc.want {
+			t.Errorf("%s: estimateSelectBytes = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestCoordCacheGovernorAccounting pins the coordinator sample cache's
 // governed lifecycle, including PR 8's generation-keyed invalidation: fills
 // settle bytes under ClassCoordCache, a replaced table's stale entry is

@@ -1,7 +1,7 @@
 // Serving-layer tests for out-of-core tables: the store=1 upload knob,
 // the on-disk model + code store pairing, disk reloads that come back
 // store-backed, selection equivalence against an in-memory twin, and the
-// per-request slab budget.
+// scale request block.
 package serve
 
 import (
@@ -135,8 +135,8 @@ func TestAddTableOutOfCoreNeedsDisk(t *testing.T) {
 	}
 }
 
-// TestHTTPOutOfCoreUpload drives the store=1 knob and the slab-budget
-// request field end to end.
+// TestHTTPOutOfCoreUpload drives the store=1 knob and the scale request
+// block end to end.
 func TestHTTPOutOfCoreUpload(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(NewStore(StoreOptions{Dir: dir}), testOptions())
@@ -159,22 +159,24 @@ func TestHTTPOutOfCoreUpload(t *testing.T) {
 		t.Fatalf("info = %+v, want OutOfCore", info)
 	}
 
-	// Scaled select with a 1-byte slab budget: spills, still answers.
+	// Scaled select on the store-backed table.
 	var sel struct {
 		SourceRows []int `json:"source_rows"`
 	}
-	body := map[string]any{
-		"k": 5, "l": 3,
-		"scale": map[string]any{"threshold": 1, "sample_budget": 300, "batch_size": 64, "max_iter": 20, "slab_budget": 1},
-	}
-	doJSON(t, "POST", srv.URL+"/tables/ooc/select", body, http.StatusOK, &sel)
+	scale := map[string]any{"threshold": 1, "sample_budget": 300, "batch_size": 64, "max_iter": 20}
+	doJSON(t, "POST", srv.URL+"/tables/ooc/select", map[string]any{"k": 5, "l": 3, "scale": scale}, http.StatusOK, &sel)
 	if len(sel.SourceRows) != 5 {
 		t.Fatalf("select returned %d rows, want 5", len(sel.SourceRows))
 	}
 
-	// Negative slab budget is the caller's bug.
-	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"slab_budget": -1}}
-	doJSON(t, "POST", srv.URL+"/tables/ooc/select", bad, http.StatusBadRequest, nil)
+	// The removed slab_budget field is an unknown field now: the body
+	// decoder rejects it rather than silently ignoring it.
+	removed := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"threshold": 1, "slab_budget": 1}}
+	wantEnvelope(t, "POST", srv.URL+"/tables/ooc/select", removed, http.StatusBadRequest, "bad_request")
+
+	// A negative scale knob is the caller's bug.
+	bad := map[string]any{"k": 5, "l": 3, "scale": map[string]any{"sample_budget": -1}}
+	wantEnvelope(t, "POST", srv.URL+"/tables/ooc/select", bad, http.StatusBadRequest, "bad_request")
 
 	// store=1 without a cache dir is a 400, not a crash.
 	memSrv := httptest.NewServer(NewHandler(NewService(NewStore(StoreOptions{}), testOptions()), nil))

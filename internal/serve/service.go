@@ -477,12 +477,14 @@ func (s *Service) SelectScaled(name string, q *query.Query, k, l int, targets []
 }
 
 // estimateSelectBytes is the transient working set a select reserves under
-// memgov.ClassRequests: the tuple-vector slab it materializes (the dominant
-// allocation) plus the candidate index. Scaled selects size by the sample
-// budget (capped by the slab spill budget when one is set — the spill path
-// keeps only one chunk resident); exact selects size by the full row count.
-// The estimate is deliberately on the reserve side of truth: pooled buffers
-// and k-means state ride inside it.
+// memgov.ClassRequests: the tuple-vector matrix it materializes (the
+// dominant allocation) plus the candidate index. Exact selects size by the
+// full row count. When the scaled mode is active for the full table, a
+// select clusters at most the sample budget — unless its filter or drill-
+// down scope leaves fewer than Threshold candidates, which takes the exact
+// path over up to Threshold-1 rows; the reservation covers the larger of
+// the two. The estimate is deliberately on the reserve side of truth:
+// pooled buffers and k-means state ride inside it.
 func estimateSelectBytes(m *core.Model, scale *core.ScaleOptions) int64 {
 	sc := m.Opt.Scale
 	if scale != nil {
@@ -495,12 +497,8 @@ func estimateSelectBytes(m *core.Model, scale *core.ScaleOptions) int64 {
 		if budget <= 0 {
 			budget = 20000 // ScaleOptions default
 		}
-		n := min(budget, rows)
-		slab := n * dim * 4
-		if sc.SlabBudgetBytes > 0 && slab > sc.SlabBudgetBytes {
-			slab = sc.SlabBudgetBytes
-		}
-		return slab + n*8
+		n := min(rows, max(budget, int64(sc.Threshold)-1))
+		return n*dim*4 + n*8
 	}
 	return rows * dim * 4
 }

@@ -50,10 +50,9 @@
 //
 // Tables larger than memory serve out-of-core: Model.UseCodeStoreFile
 // moves the bin codes into a chunked, checksummed, mmap-backed code store
-// and releases the in-memory copy, the scaled Select streams its sampler
-// over store blocks, and ScaleOptions.SlabBudgetBytes spills the sampled
-// tuple-vector slab to a temp file past the budget — all byte-identical to
-// the in-memory path. SaveModel on a store-backed model writes a
+// and releases the in-memory copy, and the scaled Select streams its
+// sampler over store blocks and gathers only the sampled rows' tuple-vectors
+// into one pooled matrix — byte-identical to the in-memory path. SaveModel on a store-backed model writes a
 // checksummed reference to the store (format v5) instead of inlining the
 // codes.
 //
