@@ -13,9 +13,9 @@
 // 3000-row FL table, "large" is the Fig9SelectLarge set (exact-path 100k
 // baseline, scaled 100k, scaled 1M — the interactivity claim for
 // million-row tables), "oocore" is the out-of-core set (scaled selection
-// over an mmap'd code store), "shard" is the sharded
-// scatter/gather set (scaled selection fanned out across 4 shard stores,
-// the number to compare against OOCoreSelect/1M), "colstore" is the paged
+// over an mmap'd code store), "shard" is the sharded scatter/gather set
+// (scaled selection fanned out across 4 shard stores, the number to
+// compare against OOCoreSelect/1M), "colstore" is the paged
 // raw-column set (rendering a display-sized view from the mmap'd column
 // store vs from inline column arrays, on a 1M-row table), "preprocess" is
 // the cold-path set (the Fig. 9 preprocess plus its stages in isolation —

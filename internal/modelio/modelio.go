@@ -62,9 +62,8 @@ import (
 // and may be replaced by a reference to an external code store file
 // (package codestore), identified by base name and checksum and resolved
 // against the model file's directory at load time; the scale options gain
-// a slab spill budget slot (since written as 0 and ignored on read, the
-// spill path having been removed). Files from versions 1-4 still load
-// unchanged.
+// a slab spill budget slot, now always written as 0 and ignored on read.
+// Files from versions 1-4 still load unchanged.
 // Version 6 adds a third codes-section variant for sharded models (flag 2):
 // the shard map — per shard, the codestore file's base name, row count,
 // block size and identity checksum — resolved against the model file's
@@ -359,7 +358,7 @@ func writeOptions(e *encoder, o core.Options) {
 	e.i64(int64(o.Scale.SampleBudget))
 	e.i64(int64(o.Scale.BatchSize))
 	e.i64(int64(o.Scale.MaxIter))
-	e.i64(0) // v5-v7 slab spill budget slot: the option is gone, the slot stays
+	e.i64(0) // v5+ slot of the removed slab spill budget
 }
 
 func readOptions(d *decoder, v uint16) core.Options {
@@ -390,9 +389,8 @@ func readOptions(d *decoder, v uint16) core.Options {
 		o.Scale.BatchSize = int(d.i64())
 		o.Scale.MaxIter = int(d.i64())
 	}
-	// Versions 5-7 carry a slab spill budget. Spilling is gone — the sampled
-	// vectors are always resident and selections never depended on the
-	// value — so the slot is read and discarded.
+	// Versions 5+ carry the slot of a removed slab spill budget option;
+	// selections never depended on its value, so it is read and discarded.
 	if v >= 5 {
 		d.i64()
 	}
