@@ -152,13 +152,10 @@ func TestSlabBudgetSlotIgnored(t *testing.T) {
 	e.bytes(data[:slot])
 	e.i64(64 << 20)
 	e.bytes(data[slot+8 : len(data)-4])
-	sum := h.Sum32()
-	e.w = &buf
-	e.u32(sum)
 	if e.err != nil {
 		t.Fatal(e.err)
 	}
-	withSlot := buf.Bytes()
+	withSlot := binary.LittleEndian.AppendUint32(buf.Bytes(), h.Sum32())
 	if len(withSlot) != len(data) || bytes.Equal(withSlot, data) {
 		t.Fatal("re-encoded file should differ from the saved one in the slot only")
 	}
