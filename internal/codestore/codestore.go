@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 )
 
 // Version is the current store format version.
@@ -161,10 +162,7 @@ func (w *Writer) AppendColumns(chunk [][]uint16) error {
 // flushBlock writes the buffered rows of every column as one block.
 func (w *Writer) flushBlock() error {
 	for c := range w.buf {
-		w.enc = w.enc[:0]
-		for _, v := range w.buf[c] {
-			w.enc = binary.LittleEndian.AppendUint16(w.enc, v)
-		}
+		w.enc = AppendCodes(w.enc[:0], w.buf[c])
 		w.crcs = append(w.crcs, crc32.Checksum(w.enc, crcTable))
 		if _, err := w.f.Write(w.enc); err != nil {
 			return w.fail(err)
@@ -453,20 +451,58 @@ func (s *Store) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
 	}
 	scratch = scratch[:n]
 	if s.reg.data != nil {
-		raw := s.reg.data[s.blockOff(c, blk):]
-		for i := range scratch {
-			scratch[i] = binary.LittleEndian.Uint16(raw[i*2:])
-		}
+		off := s.blockOff(c, blk)
+		DecodeCodes(scratch, s.reg.data[off:off+int64(n)*2])
 		return scratch
 	}
 	raw := make([]byte, n*2)
 	if err := s.reg.readAt(raw, s.blockOff(c, blk)); err != nil {
 		panic(fmt.Sprintf("codestore: reading block (%d,%d) of %s: %v", c, blk, s.path, err))
 	}
-	for i := range scratch {
-		scratch[i] = binary.LittleEndian.Uint16(raw[i*2:])
-	}
+	DecodeCodes(scratch, raw)
 	return scratch
+}
+
+// RawColumnBlock returns column c's codes in block blk in their encoded
+// form (see DecodeCodes), straight from the mapped file, or nil when the
+// store is not mapped. The bytes are read-only and valid until Close.
+func (s *Store) RawColumnBlock(c, blk int) []byte {
+	if s.reg.data == nil {
+		return nil
+	}
+	off := s.blockOff(c, blk)
+	return s.reg.data[off : off+int64(s.blockLen(blk))*2]
+}
+
+// DecodeCodes decodes len(dst) little-endian uint16 codes from raw (the
+// encoding of store blocks and of the shard wire codec), stopping early if
+// raw runs out. The loop re-slices raw past each pair it reads, which lets
+// the compiler prove every index in bounds, so the body carries no bounds
+// checks.
+func DecodeCodes(dst []uint16, raw []byte) {
+	for i := range dst {
+		if len(raw) < 2 {
+			return
+		}
+		dst[i] = uint16(raw[0]) | uint16(raw[1])<<8
+		raw = raw[2:]
+	}
+}
+
+// AppendCodes appends codes to buf in the little-endian encoding
+// DecodeCodes reads, growing buf once.
+func AppendCodes(buf []byte, codes []uint16) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, 2*len(codes))[:n+2*len(codes)]
+	out := buf[n:]
+	for _, v := range codes {
+		if len(out) < 2 {
+			break
+		}
+		out[0], out[1] = byte(v), byte(v>>8)
+		out = out[2:]
+	}
+	return buf
 }
 
 // Code returns the code of one cell (random access). On the mmap path this

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -59,6 +60,27 @@ func checkStore(t *testing.T, s *Store, codes [][]uint16) {
 		}
 		if got != n {
 			t.Fatalf("col %d blocks covered %d rows, want %d", c, got, n)
+		}
+	}
+	// A mapped store lends each block's encoded bytes; they decode to the
+	// same codes, and re-encode to the same bytes.
+	for c := range codes {
+		for blk := 0; blk < s.NumBlocks(); blk++ {
+			raw := s.RawColumnBlock(c, blk)
+			if raw == nil {
+				if s.Mapped() {
+					t.Fatalf("mapped store lent no bytes for block (%d,%d)", c, blk)
+				}
+				continue
+			}
+			dec := make([]uint16, len(raw)/2)
+			DecodeCodes(dec, raw)
+			if !slices.Equal(dec, s.ColumnBlock(c, blk, nil)) {
+				t.Fatalf("raw block (%d,%d) decodes to %v, ColumnBlock reads %v", c, blk, dec, s.ColumnBlock(c, blk, nil))
+			}
+			if enc := AppendCodes(nil, dec); !slices.Equal(enc, raw) {
+				t.Fatalf("block (%d,%d) re-encodes differently", c, blk)
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(7))

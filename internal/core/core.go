@@ -577,10 +577,11 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 	// to real row ids.
 	dim := m.Emb.Dim()
 	candRows := rows
-	// csrc, when non-nil, is the sampled-rows overlay of a coordinator
-	// model: every downstream code read of this selection goes through it
-	// instead of the (partly remote) shard source.
-	var csrc binning.CodeSource
+	// overlay, when non-nil, holds a coordinator model's sampled rows'
+	// codes by candidate position (overlay[c][i] is column c's code of
+	// candRows[i]): every downstream code read of this selection goes
+	// through it instead of the (partly remote) shard source.
+	var overlay [][]uint16
 	var rowVecs f32.Matrix
 	var rowRes *cluster.Result
 	if pushdown || scale.Active(len(rows)) {
@@ -590,7 +591,7 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 			if !ok {
 				return nil, fmt.Errorf("core: installed shard sampler cannot push predicates down to peers")
 			}
-			sampled, overlay, matched, err := fs.SampleFiltered(cols, scale.SampleBudget, opt.preds)
+			sampled, codes, matched, err := fs.SampleFiltered(cols, scale.SampleBudget, opt.preds)
 			if err != nil {
 				return nil, fmt.Errorf("core: scatter/gather sampling: %w", err)
 			}
@@ -600,13 +601,13 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 			if !scale.Active(matched) {
 				return nil, fmt.Errorf("core: a table with remote shards serves scaled selections only (%d matching rows under threshold %d)", matched, scale.Threshold)
 			}
-			candRows, csrc = sampled, overlay
+			candRows, overlay = sampled, codes
 		} else if remote {
-			sampled, overlay, err := m.shardSampler.Sample(cols, scale.SampleBudget)
+			sampled, codes, err := m.shardSampler.Sample(cols, scale.SampleBudget)
 			if err != nil {
 				return nil, fmt.Errorf("core: scatter/gather sampling: %w", err)
 			}
-			candRows, csrc = sampled, overlay
+			candRows, overlay = sampled, codes
 		} else if opt.covered != nil && strataCount(m.B, cols) > scale.SampleBudget {
 			// Session-biased samples depend on mutable session state, so
 			// they bypass the per-budget sample cache. The bias only
@@ -619,7 +620,7 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 			candRows = m.sampleCandidates(rows, cols, scale.SampleBudget)
 		}
 		var release func()
-		rowVecs, release = m.sampledRowVectors(candRows, cols, csrc)
+		rowVecs, release = m.sampledRowVectors(candRows, cols, overlay)
 		defer release()
 		rowRes = cluster.MiniBatchKMeans(rowVecs, k, cluster.MiniBatchOptions{
 			BatchSize: scale.BatchSize,
@@ -649,7 +650,7 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 	if rowRes == nil {
 		rowRes = cluster.KMeansMatrix(rowVecs, k, cluster.Options{Seed: m.Opt.ClusterSeed})
 	}
-	repIdx := m.diverseRepresentatives(rowRes, rowVecs, candRows, cols, 16, csrc)
+	repIdx := m.diverseRepresentatives(rowRes, rowVecs, candRows, cols, 16, overlay)
 	selRows := make([]int, 0, len(repIdx))
 	for _, i := range repIdx {
 		selRows = append(selRows, candRows[i])
@@ -676,7 +677,7 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 		if opt.colBias != nil {
 			picked = m.biasedColumns(candCols, need, opt.colBias)
 		} else if m.Opt.Columns == Centroids {
-			picked = m.centroidColumns(candCols, candRows, need, csrc)
+			picked = m.centroidColumns(candCols, candRows, need, overlay)
 		} else {
 			picked = m.patternGroupColumns(candCols, candRows, need)
 		}
@@ -717,9 +718,10 @@ func (m *Model) selectFromOpts(rows, cols []int, k, l int, targets []string, sca
 // lower candidate index. The per-point centroid distances and the per-candidate
 // Jaccard scans run across workers; each slot is written by exactly one
 // index and the final argmin scan is serial with first-wins ties, so the
-// result is bit-identical to the serial path. src, when non-nil, overrides
-// where the Jaccard comparisons read their codes (the coordinator overlay).
-func (m *Model) diverseRepresentatives(res *cluster.Result, vecs f32.Matrix, rows, cols []int, q int, src binning.CodeSource) []int {
+// result is bit-identical to the serial path. overlay, when non-nil, holds
+// the rows' codes by position (the coordinator overlay) and the Jaccard
+// comparisons read them there.
+func (m *Model) diverseRepresentatives(res *cluster.Result, vecs f32.Matrix, rows, cols []int, q int, overlay [][]uint16) []int {
 	if res.K == 0 {
 		return nil
 	}
@@ -769,17 +771,18 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, vecs f32.Matrix, row
 		}
 		return order[x] < order[y]
 	})
-	code := m.B.Code
-	if src != nil {
-		code = src.Code
+	// code reads column c of candidate i.
+	code := func(c, i int) uint16 { return m.B.Code(c, rows[i]) }
+	if overlay != nil {
+		code = func(c, i int) uint16 { return overlay[c][i] }
 	}
-	jaccard := func(r1, r2 int) float64 {
+	jaccard := func(i1, i2 int) float64 {
 		if len(cols) == 0 {
 			return 0
 		}
 		same := 0
 		for _, c := range cols {
-			if code(c, r1) == code(c, r2) {
+			if code(c, i1) == code(c, i2) {
 				same++
 			}
 		}
@@ -799,7 +802,7 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, vecs f32.Matrix, row
 		f32.ParallelIndex(len(cs), f32.Workers(len(cs)), func(x int) {
 			sim := 0.0
 			for _, sel := range out {
-				sim += jaccard(rows[cs[x].idx], rows[sel])
+				sim += jaccard(cs[x].idx, sel)
 			}
 			sims[x] = sim / float64(len(out))
 		})
@@ -815,21 +818,23 @@ func (m *Model) diverseRepresentatives(res *cluster.Result, vecs f32.Matrix, row
 }
 
 // centroidColumns is the literal Algorithm 2 column step: k-means over the
-// column-mean vectors, one representative per cluster. src, when non-nil,
-// overrides where the column vectors read their codes (the coordinator
-// overlay); the gather arithmetic is identical either way.
-func (m *Model) centroidColumns(candCols, rows []int, need int, src binning.CodeSource) []int {
+// column-mean vectors, one representative per cluster. overlay, when
+// non-nil, holds the rows' codes by position (the coordinator overlay) and
+// the column vectors read them there; the gather arithmetic is identical
+// either way.
+func (m *Model) centroidColumns(candCols, rows []int, need int, overlay [][]uint16) []int {
 	colVecs := f32.New(len(candCols), m.Emb.Dim())
 	f32.ParallelRange(len(candCols), f32.Workers(len(candCols)), func(start, end int) {
 		idx := make([]int32, len(rows))
 		for i := start; i < end; i++ {
 			c := candCols[i]
-			if src == nil {
+			if overlay == nil {
 				m.colVectorInto(colVecs.Row(i), c, rows, idx)
 				continue
 			}
-			for j, r := range rows {
-				idx[j] = m.itemRow[m.B.ItemOf(c, int(src.Code(c, r)))]
+			base := m.B.ItemOf(c, 0)
+			for j, code := range overlay[c][:len(rows)] {
+				idx[j] = m.itemRow[base+int32(code)]
 			}
 			f32.MeanPoolInto(colVecs.Row(i), m.items, idx)
 		}

@@ -179,52 +179,52 @@ func intersectSorted(a, b []int) []int {
 // live in the serving layer.
 type FilteredShardSampler interface {
 	ShardSampler
-	SampleFiltered(cols []int, budget int, preds []query.Predicate) (rows []int, codes binning.CodeSource, matched int, err error)
+	SampleFiltered(cols []int, budget int, preds []query.Predicate) (rows []int, codes [][]uint16, matched int, err error)
 }
 
-// SampleShardFiltered is SampleShard with a predicate conjunction pushed
-// into the scan: the worker evaluates preds over the shard's codes (with
-// shard-local residual cell checks), scans only the matching rows, and
-// reports how many matched. Empty preds reduce to the unfiltered scan with
-// matched = the shard's row count.
-func (m *Model) SampleShardFiltered(idx int, cols []int, budget int, seed int64, preds []query.Predicate) (shard.Summary, int, error) {
+// SampleShardFiltered scans one locally held shard for a scatter/gather
+// sample: the worker half of the shard-exec protocol. cols, budget and seed
+// come from the coordinator's request; the response's rows are global ids
+// and carry their codes for every table column. A non-empty preds is a
+// conjunction the worker evaluates over the shard's codes (with
+// shard-local residual cell checks) before the scan, so only matching rows
+// are sampled; Matched counts them (the shard's row count without preds).
+func (m *Model) SampleShardFiltered(idx int, cols []int, budget int, seed int64, preds []query.Predicate) (*shard.SampleResponse, error) {
 	src := m.ShardSource()
 	if src == nil {
-		return shard.Summary{}, 0, fmt.Errorf("core: table is not shard-backed")
+		return nil, fmt.Errorf("core: table is not shard-backed")
 	}
 	if idx < 0 || idx >= src.NumShards() {
-		return shard.Summary{}, 0, fmt.Errorf("core: shard %d out of range [0, %d)", idx, src.NumShards())
+		return nil, fmt.Errorf("core: shard %d out of range [0, %d)", idx, src.NumShards())
 	}
 	if !src.ShardAvailable(idx) {
-		return shard.Summary{}, 0, fmt.Errorf("core: shard %d is not held locally", idx)
+		return nil, fmt.Errorf("core: shard %d is not held locally", idx)
 	}
 	if budget <= 0 {
-		return shard.Summary{}, 0, fmt.Errorf("core: sample budget must be positive, got %d", budget)
+		return nil, fmt.Errorf("core: sample budget must be positive, got %d", budget)
 	}
 	for _, c := range cols {
 		if c < 0 || c >= m.T.NumCols() {
-			return shard.Summary{}, 0, fmt.Errorf("core: column %d out of range [0, %d)", c, m.T.NumCols())
+			return nil, fmt.Errorf("core: column %d out of range [0, %d)", c, m.T.NumCols())
 		}
 	}
 	cs := src.ShardSource(idx)
 	start := src.ShardStart(idx)
-	if len(preds) == 0 {
-		n := 0
-		if cs != nil {
-			n = cs.NumRows()
+	var rows []int
+	if len(preds) > 0 {
+		f := m.B.CompileFilter(preds)
+		cells, err := m.residualCells(f)
+		if err != nil {
+			return nil, err
 		}
-		return shard.Scan(m.B, cs, start, cols, budget, seed), n, nil
+		if rows, err = f.MatchingRows(cs, start, cells, 0); err != nil {
+			return nil, err
+		}
+		if rows == nil {
+			rows = []int{} // nil would scan every row
+		}
 	}
-	f := m.B.CompileFilter(preds)
-	cells, err := m.residualCells(f)
-	if err != nil {
-		return shard.Summary{}, 0, err
-	}
-	keep, matched, err := f.MatchMask(cs, start, cells)
-	if err != nil {
-		return shard.Summary{}, 0, err
-	}
-	return shard.ScanFiltered(m.B, cs, start, cols, budget, seed, keep), matched, nil
+	return shard.ScanRows(m.B, cs, start, cols, budget, seed, rows, true), nil
 }
 
 // ExploreSpec is the consolidated request of an exploration-session select:

@@ -216,90 +216,22 @@ func columnMinima(codes []uint16, rows []int, rowH []uint64, identity bool, slot
 
 // uniformFill is phase 2: the rem unpicked candidates of smallest (hash,
 // row), returned in candidate order (ascending when rows is); free is the
-// number of unpicked candidates. Hashes are
-// uniform, so a threshold sized to admit slightly more than rem of the
-// unpicked candidates collects a superset of the answer in one pass; when
-// fewer than rem fall under it, every unpicked candidate is collected
-// instead. Either way the rem smallest of the collected rows are exactly
-// the rem smallest overall.
+// number of unpicked candidates. The threshold select is the one every
+// sampler shares (shard.SmallestHashRows).
 func uniformFill(rows []int, rowH []uint64, picked []bool, free, rem int) []int {
-	limit := uint64(math.MaxUint64)
-	if want := rem + rem/8 + 64; want < free {
-		limit = uint64(math.Ldexp(float64(want)/float64(free), 64))
-	}
-	var coll []int
-	for pass := 0; pass < 2; pass++ {
-		coll = make([]int, 0, min(free, rem+rem/4+128))
+	sel := shard.SmallestHashRows(rem, free, math.MaxUint64, func(limit uint64, dst []shard.HashRow) []shard.HashRow {
 		for i, h := range rowH {
 			if h <= limit && !picked[i] {
-				coll = append(coll, i)
+				dst = append(dst, shard.HashRow{Hash: h, Row: int64(rows[i])})
 			}
 		}
-		if len(coll) >= rem {
-			break
-		}
-		limit = math.MaxUint64
-	}
-
-	// The cut is the rem-th smallest (hash, row): every collected row below
-	// the cut hash is in, and of the rows at the cut hash the lowest ids are.
-	hs := make([]uint64, len(coll))
-	for j, i := range coll {
-		hs[j] = rowH[i]
-	}
-	cutH := nthSmallest(hs, rem-1)
-	atCut := rem
-	var tied []int
-	for _, i := range coll {
-		if h := rowH[i]; h < cutH {
-			atCut--
-		} else if h == cutH {
-			tied = append(tied, rows[i])
-		}
-	}
-	slices.Sort(tied)
-	cutRow := tied[atCut-1]
-
-	out := make([]int, 0, rem)
-	for _, i := range coll {
-		if h := rowH[i]; h < cutH || (h == cutH && rows[i] <= cutRow) {
-			out = append(out, rows[i])
-		}
+		return dst
+	})
+	out := make([]int, len(sel))
+	for j, hr := range sel {
+		out[j] = int(hr.Row)
 	}
 	return out
-}
-
-// nthSmallest returns the k-th smallest (0-based) value of hs, reordering
-// hs: quickselect with a three-way partition, so runs of equal values
-// shrink the range instead of stalling it.
-func nthSmallest(hs []uint64, k int) uint64 {
-	for len(hs) > 16 {
-		p := hs[len(hs)/2]
-		lt, i, gt := 0, 0, len(hs)
-		for i < gt {
-			switch h := hs[i]; {
-			case h < p:
-				hs[lt], hs[i] = h, hs[lt]
-				lt++
-				i++
-			case h > p:
-				gt--
-				hs[i], hs[gt] = hs[gt], h
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hs = hs[:lt]
-		case k >= gt:
-			hs, k = hs[gt:], k-gt
-		default:
-			return p
-		}
-	}
-	slices.Sort(hs)
-	return hs[k]
 }
 
 // mergeSorted merges ascending a with b. b is sorted first when it is not

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"subtab/internal/binning"
 	"subtab/internal/f32"
 )
 
@@ -94,17 +93,17 @@ func (m *Model) sampleCandidates(rows, cols []int, budget int) []int {
 // row gather; otherwise only the sampled rows are computed — the scaled
 // path never materializes vectors for rows the sample dropped, which is the
 // point of sampling before embedding lookup on million-row tables. The
-// returned release hands the buffer back to the pool. src, when non-nil, is
-// a code overlay (the coordinator's gathered shard codes) that replaces the
-// model's own code source for the gather.
-func (m *Model) sampledRowVectors(rows, cols []int, src binning.CodeSource) (f32.Matrix, func()) {
+// returned release hands the buffer back to the pool. overlay, when
+// non-nil, holds the rows' codes by position (the coordinator's gathered
+// shard codes) and replaces the model's own code source for the gather.
+func (m *Model) sampledRowVectors(rows, cols []int, overlay [][]uint16) (f32.Matrix, func()) {
 	dim := m.Emb.Dim()
 	buf := getVecBuf(len(rows) * dim)
 	mat := f32.Wrap(len(rows), dim, *buf)
-	if fv, ok := m.cachedFullVecs(); ok && src == nil && identityCols(cols, m.T.NumCols()) {
+	if fv, ok := m.cachedFullVecs(); ok && overlay == nil && identityCols(cols, m.T.NumCols()) {
 		f32.GatherRows(mat, fv, rows)
 	} else {
-		m.gatherTupleVectors(mat, rows, cols, src)
+		m.gatherTupleVectors(mat, rows, cols, overlay)
 	}
 	return mat, func() { putVecBuf(buf) }
 }
@@ -116,22 +115,32 @@ func (m *Model) sampledRowVectors(rows, cols []int, src binning.CodeSource) (f32
 // code store, the access pattern the store's layout is built for — and
 // pools whole rows with the f32.MeanPoolRows kernel. Both paths compute
 // identical vectors (same per-row index values, same pooling arithmetic).
-// A non-nil src overrides where the codes are read (the coordinator
-// overlay); otherwise the model's own inline codes or attached store.
-func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, src binning.CodeSource) {
-	if src == nil {
-		if m.B.HasInlineCodes() {
-			f32.ParallelRange(len(rows), f32.Workers(len(rows)), func(start, end int) {
-				idx := make([]int32, len(cols))
-				for i := start; i < end; i++ {
-					m.rowVectorInto(dst.Row(i), rows[i], cols, idx)
-				}
-			})
-			return
-		}
-		src = m.B.Source()
-	}
+// A non-nil overlay holds the rows' codes by position (the coordinator
+// overlay) and is read column by column instead of the model's own inline
+// codes or attached store.
+func (m *Model) gatherTupleVectors(dst f32.Matrix, rows, cols []int, overlay [][]uint16) {
 	k := len(cols)
+	if overlay != nil {
+		idx := make([]int32, len(rows)*k)
+		for j, c := range cols {
+			base := m.B.ItemOf(c, 0)
+			for i, code := range overlay[c][:len(rows)] {
+				idx[i*k+j] = m.itemRow[base+int32(code)]
+			}
+		}
+		f32.MeanPoolRows(dst, m.items, idx, k)
+		return
+	}
+	if m.B.HasInlineCodes() {
+		f32.ParallelRange(len(rows), f32.Workers(len(rows)), func(start, end int) {
+			idx := make([]int32, len(cols))
+			for i := start; i < end; i++ {
+				m.rowVectorInto(dst.Row(i), rows[i], cols, idx)
+			}
+		})
+		return
+	}
+	src := m.B.Source()
 	idx := make([]int32, len(rows)*k)
 	br := src.BlockRows()
 	if len(rows)*8 < src.NumRows() {

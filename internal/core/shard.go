@@ -17,18 +17,19 @@ import (
 // Models with remote shards (a coordinator in a multi-server deployment)
 // route sampling through an installed ShardSampler, which gathers the
 // same summaries from peers over HTTP plus the candidate rows' codes, so
-// the rest of the selection runs locally on an overlay without touching
-// the missing shards.
+// the rest of the selection runs locally on an overlay of the sampled
+// rows' codes without touching the missing shards.
 
 // ShardSampler produces the scaled path's candidate sample for a model
 // whose shards are partly remote: rows is exactly what the single-store
 // stratified reservoir would return for a full-table scan at this budget,
-// and codes covers (at least) those rows so every downstream read of the
-// selection resolves locally. Implementations live in the serving layer
+// and codes is the sample's overlay — codes[c][i] is table column c's code
+// of rows[i] — so every downstream read of the selection resolves locally,
+// by candidate position. Implementations live in the serving layer
 // (scatter over peers, gather and merge); they must be safe for
 // concurrent use.
 type ShardSampler interface {
-	Sample(cols []int, budget int) (rows []int, codes binning.CodeSource, err error)
+	Sample(cols []int, budget int) (rows []int, codes [][]uint16, err error)
 }
 
 // CacheReleaser is the optional extension a ShardSampler implements when it
@@ -58,14 +59,6 @@ func (m *Model) ShardSource() *shard.Source {
 // value a coordinator sends to shard peers so remote scans hash
 // identically to local ones.
 func (m *Model) SampleSeed() int64 { return m.Opt.ClusterSeed ^ scaleSampleSeed }
-
-// SampleShard scans one locally held shard for a scatter/gather sample:
-// the worker half of the shard-exec protocol. cols, budget and seed come
-// from the coordinator's request; the summary's rows are global ids.
-func (m *Model) SampleShard(idx int, cols []int, budget int, seed int64) (shard.Summary, error) {
-	sum, _, err := m.SampleShardFiltered(idx, cols, budget, seed, nil)
-	return sum, err
-}
 
 // UseShardedStores exports the model's codes into len(paths) shard files
 // (rows split evenly: shard i owns rows [i*n/N, (i+1)*n/N)), opens them
@@ -118,10 +111,11 @@ func (m *Model) UseShardedStores(paths []string, blockRows int) (*shard.Source, 
 
 // shardedReservoir is the local scatter/gather form of the stratified
 // reservoir: one goroutine scans each shard, the per-stratum minima and
-// phase-2 heaps merge associatively, and the pick order replays exactly —
-// byte-identical to the single-store scan (see package shard). covered,
-// when non-nil, applies the session coverage bias at the merge's pick step
-// (shard.FinishSampleBiased); nil preserves the historical pick order.
+// phase-2 candidate lists merge associatively, and the pick order replays
+// exactly — byte-identical to the single-store scan (see package shard).
+// covered, when non-nil, applies the session coverage bias at the merge's
+// pick step (shard.FinishSampleBiased); nil preserves the historical pick
+// order.
 func shardedReservoir(b *binning.Binned, src *shard.Source, cols []int, budget int, seed int64, covered func(item int) bool) []int {
 	sums := make([]shard.Summary, src.NumShards())
 	var wg sync.WaitGroup

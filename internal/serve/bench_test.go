@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"math"
+	"net/http/httptest"
 	"os"
 	"testing"
 
+	"subtab/internal/binning"
 	"subtab/internal/core"
+	"subtab/internal/corpus"
+	"subtab/internal/datagen"
 	"subtab/internal/modelio"
+	"subtab/internal/query"
 	"subtab/internal/rules"
+	"subtab/internal/word2vec"
 )
 
 func rulesOptionsForTest() rules.Options { return rules.Options{} }
@@ -89,4 +96,76 @@ func BenchmarkWarmSelectParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCoordinatorSampleFiltered is the coordinator's scatter/gather
+// round for a pushed-down filter: a 200k-row Flights table in 4 shards, two
+// of them behind a loopback worker, a predicate matching about a quarter of
+// the rows, the default sample budget. Each iteration drops the sample
+// cache first, so every round scans, fetches, validates, merges and builds
+// the overlay.
+func BenchmarkCoordinatorSampleFiltered(b *testing.B) {
+	const name = "fl"
+	tbl := datagen.Flights(200_000, 1).T
+	opt := core.Options{
+		Bins:        binning.Options{MaxBins: 5, Strategy: binning.KDEValleys, Seed: 1},
+		Corpus:      corpus.Options{MaxSentences: 100_000, TupleSentences: true, Seed: 1},
+		Embedding:   word2vec.Options{Dim: 8, Epochs: 1, Seed: 1},
+		ClusterSeed: 1,
+	}
+	// The predicate is a bin cut (decided from codes alone, so no residual
+	// cells), the numeric cut whose share of rows is closest to a quarter.
+	// It is chosen before the sharded build pages the table's cells out.
+	bins, err := binning.Bin(tbl, opt.Bins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pred query.Predicate
+	best := 2.0
+	for c := 0; c < tbl.NumCols(); c++ {
+		col := tbl.ColumnAt(c)
+		if col.Nums == nil {
+			continue
+		}
+		for _, cut := range bins.Cols[c].Cuts {
+			n := 0
+			for _, v := range col.Nums {
+				if v <= cut {
+					n++
+				}
+			}
+			if d := math.Abs(float64(n)/float64(len(col.Nums)) - 0.25); d < best {
+				best, pred = d, query.Predicate{Col: col.Name, Op: query.Leq, Num: cut}
+			}
+		}
+	}
+	coordDir, workerDir := splitTableDirs(b, name, tbl, opt, 4, []int{2, 3})
+	worker := NewService(NewStore(StoreOptions{Dir: workerDir, AllowMissingShards: true}), opt)
+	srv := httptest.NewServer(NewHandler(worker, nil))
+	b.Cleanup(srv.Close)
+	coord := NewService(NewStore(StoreOptions{Dir: coordDir, AllowMissingShards: true}), opt)
+	m, err := coord.Model(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := NewShardSampler(name, m, ShardPeersOptions{Peers: []string{srv.URL}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := cs.(*shardSampler)
+	cols := make([]int, m.T.NumCols())
+	for c := range cols {
+		cols[c] = c
+	}
+
+	preds := []query.Predicate{pred}
+	var matched int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ReleaseCache()
+		if _, _, matched, err = s.SampleFiltered(cols, 20_000, preds); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(matched)/float64(tbl.NumRows()), "match_ratio")
 }

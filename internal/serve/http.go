@@ -374,8 +374,10 @@ func (h *api) shardSample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	body := resp.Marshal()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(resp.Marshal())
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // shardCells serves the worker half of a remote view gather: a coordinator

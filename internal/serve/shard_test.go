@@ -16,6 +16,7 @@ import (
 
 	"subtab/internal/core"
 	"subtab/internal/shard"
+	"subtab/internal/table"
 )
 
 func TestAddTableShardedServesIdentically(t *testing.T) {
@@ -136,9 +137,15 @@ func TestShardedAppendKeepsSharded(t *testing.T) {
 // second dir — simulating two instances that each own part of the table.
 func splitCacheDir(t *testing.T, name string, rows int, shards int, remote []int) (coordDir, workerDir string) {
 	t.Helper()
+	return splitTableDirs(t, name, testTable(name, rows, 7), testOptions(), shards, remote)
+}
+
+// splitTableDirs is splitCacheDir for any table and options.
+func splitTableDirs(t testing.TB, name string, tbl *table.Table, opt core.Options, shards int, remote []int) (coordDir, workerDir string) {
+	t.Helper()
 	coordDir, workerDir = t.TempDir(), t.TempDir()
-	build := NewService(NewStore(StoreOptions{Dir: coordDir}), testOptions())
-	if _, err := build.AddTableSharded(name, testTable(name, rows, 7), nil, shards, false); err != nil {
+	build := NewService(NewStore(StoreOptions{Dir: coordDir}), opt)
+	if _, err := build.AddTableSharded(name, tbl, nil, shards, false); err != nil {
 		t.Fatal(err)
 	}
 	models, err := filepath.Glob(filepath.Join(coordDir, "*"+".subtab"))

@@ -11,9 +11,9 @@ package serve
 // shards in-process, and merge the per-shard summaries associatively —
 // the same merge the single-process fan-out runs, so the selection is
 // bit-identical to a single store holding every row. Each response also
-// carries the candidate rows' codes; the coordinator overlays them as a
-// sparse code source so the rest of the selection never touches a
-// missing shard.
+// carries the candidate rows' codes; the coordinator keeps the codes of the
+// rows the finished sample kept, in sample order, as the selection's
+// overlay, so the rest of the selection never touches a missing shard.
 //
 // Tables whose raw columns are sharded too (paged column stores)
 // extend the lift to view rendering: the coordinator resolves the chosen
@@ -27,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,17 +70,11 @@ func (s *Service) SampleShard(name string, idx int, req *shard.SampleRequest) (*
 		return nil, fmt.Errorf("%w: shard %d of %q: request expects checksum %08x, this store has %08x",
 			ErrBadRequest, idx, name, got, want)
 	}
-	sum, matched, err := m.SampleShardFiltered(idx, req.Cols, req.Budget, req.Seed, req.Preds)
+	resp, err := m.SampleShardFiltered(idx, req.Cols, req.Budget, req.Seed, req.Preds)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	rows := sum.CandidateRows()
-	return &shard.SampleResponse{
-		Summary: sum,
-		Rows:    rows,
-		Codes:   gatherShardCodes(src, m.T.NumCols(), rows),
-		Matched: matched,
-	}, nil
+	return resp, nil
 }
 
 // maxShardCellsPerRequest bounds one cells request's row×column product: a
@@ -130,20 +125,6 @@ func (s *Service) ShardCells(name string, idx int, req *shard.CellsRequest) (*sh
 	return &shard.CellsResponse{Cells: cells}, nil
 }
 
-// gatherShardCodes reads the codes of the given global rows for every
-// table column (col-major, parallel to rows).
-func gatherShardCodes(src *shard.Source, cols int, rows []int64) [][]uint16 {
-	codes := make([][]uint16, cols)
-	for c := range codes {
-		col := make([]uint16, len(rows))
-		for k, r := range rows {
-			col[k] = src.Code(c, int(r))
-		}
-		codes[c] = col
-	}
-	return codes
-}
-
 // ShardPeersOptions configures a coordinator's scatter behaviour.
 type ShardPeersOptions struct {
 	// Peers are the base URLs of the instances holding this table's
@@ -169,8 +150,8 @@ type ShardPeersOptions struct {
 	// Governor, when non-nil, byte-accounts the sampler's cross-request
 	// sample cache under memgov.ClassCoordCache. The cache stays bounded by
 	// entry count regardless; the governor sees its true byte weight (the
-	// candidate overlays dominate a coordinator's heap) and reclaims it when
-	// the serving store evicts the model (via core.CacheReleaser).
+	// sample overlays dominate it) and reclaims it when the serving store
+	// evicts the model (via core.CacheReleaser).
 	Governor *memgov.Governor
 }
 
@@ -233,17 +214,17 @@ type shardSampler struct {
 
 type sampleResult struct {
 	rows    []int
-	overlay *shard.SparseSource
-	matched int    // total rows matching the request's predicates, across shards
-	gen     uint64 // ShardPeersOptions.Generation at fill time
-	bytes   int64  // estimated residency: rows + overlay rows + overlay codes
+	overlay [][]uint16 // overlay[c][i]: column c's code of rows[i]
+	matched int        // total rows matching the request's predicates, across shards
+	gen     uint64     // ShardPeersOptions.Generation at fill time
+	bytes   int64      // estimated residency: rows + overlay codes
 }
 
 // Sample runs one full scatter/gather round: scan or fetch every
-// non-empty shard, merge the summaries, finish the pick order, and
-// overlay the gathered codes. rows is byte-identical to what the
-// single-store stratified reservoir would return.
-func (s *shardSampler) Sample(cols []int, budget int) ([]int, binning.CodeSource, error) {
+// non-empty shard, merge the summaries, finish the pick order, and keep
+// the sampled rows' codes in sample order. rows is byte-identical to what
+// the single-store stratified reservoir would return.
+func (s *shardSampler) Sample(cols []int, budget int) ([]int, [][]uint16, error) {
 	rows, codes, _, err := s.SampleFiltered(cols, budget, nil)
 	return rows, codes, err
 }
@@ -256,7 +237,7 @@ func (s *shardSampler) Sample(cols []int, budget int) ([]int, binning.CodeSource
 // return. matched is the total matching row count across shards — the
 // figure the scaled-path threshold gates on, since the coordinator never
 // materializes the matching row set.
-func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Predicate) ([]int, binning.CodeSource, int, error) {
+func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Predicate) ([]int, [][]uint16, int, error) {
 	if budget <= 0 {
 		return nil, nil, 0, fmt.Errorf("serve: sample budget must be positive, got %d", budget)
 	}
@@ -304,13 +285,7 @@ func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Pred
 		go func(i int) {
 			defer wg.Done()
 			if s.src.ShardAvailable(i) {
-				sum, matched, err := s.m.SampleShardFiltered(i, cols, budget, seed, preds)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rows := sum.CandidateRows()
-				resps[i] = &shard.SampleResponse{Summary: sum, Rows: rows, Codes: gatherShardCodes(s.src, nCols, rows), Matched: matched}
+				resps[i], errs[i] = s.m.SampleShardFiltered(i, cols, budget, seed, preds)
 				return
 			}
 			resp, err := s.fetch(i, &shard.SampleRequest{
@@ -321,7 +296,7 @@ func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Pred
 				Preds:    preds,
 			})
 			if err == nil {
-				err = validateShardResponse(resp, s.src, i, nCols, s.m.B.NumItems())
+				err = validateShardResponse(resp, s.src, i, s.m.B, seed, budget, cols)
 			}
 			if err != nil {
 				errs[i] = err
@@ -338,42 +313,29 @@ func (s *shardSampler) SampleFiltered(cols []int, budget int, preds []query.Pred
 	}
 
 	sums := make([]shard.Summary, len(resps))
-	total, matched := 0, 0
+	parts := make([]*shard.SampleResponse, 0, len(resps))
+	matched := 0
 	for i, r := range resps {
 		if r == nil {
 			continue
 		}
 		sums[i] = r.Summary
-		total += len(r.Rows)
+		parts = append(parts, r)
 		matched += r.Matched
 	}
 	strata, cands := shard.MergeSummaries(sums, s.m.B.NumItems())
 	rows := shard.FinishSample(strata, cands, budget)
 
-	// The overlay holds every candidate any shard surfaced (a superset of
-	// the final sample); shard ranges are disjoint, so rows cannot repeat.
-	allRows := make([]int64, 0, total)
-	allCodes := make([][]uint16, nCols)
-	for c := range allCodes {
-		allCodes[c] = make([]uint16, 0, total)
-	}
-	for _, r := range resps {
-		if r == nil {
-			continue
-		}
-		allRows = append(allRows, r.Rows...)
-		for c := range allCodes {
-			allCodes[c] = append(allCodes[c], r.Codes[c]...)
-		}
-	}
-	overlay, err := shard.NewSparseSource(s.m.T.NumRows(), nCols, allRows, allCodes)
+	// The overlay keeps only the finished sample's codes, in sample order:
+	// the selection reads them by candidate position.
+	overlay, err := shard.SampleCodes(rows, parts, nCols)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: assembling sampled overlay for %q: %w", s.name, err)
 	}
 
-	// Entry weight: the cached pick order plus the overlay's row ids and its
-	// per-column uint16 codes (slice headers ignored; the payloads dominate).
-	rb := int64(len(rows))*8 + int64(len(allRows))*(8+2*int64(nCols))
+	// Entry weight: the cached pick order plus the overlay's per-column
+	// uint16 codes (slice headers ignored; the payloads dominate).
+	rb := int64(len(rows)) * (8 + 2*int64(nCols))
 	s.mu.Lock()
 	if len(s.cache) >= 8 {
 		clear(s.cache)
@@ -476,42 +438,106 @@ func (s *shardSampler) post(peer string, idx int, endpoint string, body []byte) 
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
 		return nil, fmt.Errorf("status %d: %s", hresp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	raw, err := io.ReadAll(io.LimitReader(hresp.Body, maxShardRespBytes+1))
-	if err != nil {
+	// A response that states its length is read into one buffer of that
+	// size instead of a doubling series.
+	var buf bytes.Buffer
+	if n := hresp.ContentLength; n > 0 && n <= maxShardRespBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(hresp.Body, maxShardRespBytes+1)); err != nil {
 		return nil, err
 	}
-	if len(raw) > maxShardRespBytes {
+	if buf.Len() > maxShardRespBytes {
 		return nil, fmt.Errorf("response exceeds %d bytes", maxShardRespBytes)
 	}
-	return raw, nil
+	return buf.Bytes(), nil
 }
 
-// validateShardResponse rejects a peer response that cannot merge safely:
-// rows outside the shard's range, rows disagreeing with its own summary,
-// or geometry that does not match this coordinator's model.
-func validateShardResponse(resp *shard.SampleResponse, src *shard.Source, idx, nCols, nItems int) error {
-	if len(resp.Summary.Strata) != nItems {
-		return fmt.Errorf("serve: shard %d response has %d strata, model has %d items", idx, len(resp.Summary.Strata), nItems)
+// validateShardResponse rejects a peer response that cannot merge safely,
+// with an error wrapping shard.ErrCorrupt: geometry that does not match
+// this coordinator's model, rows outside the shard's range, rows
+// disagreeing with the response's own summary, or a summary the peer could
+// not have computed honestly — a hash that is not the row's seeded hash, a
+// candidate list of the wrong length or out of row order, a stratum over a
+// column the request did not ask for, or a stratum row whose returned code
+// is not the stratum's bin.
+func validateShardResponse(resp *shard.SampleResponse, src *shard.Source, idx int, b *binning.Binned, seed int64, budget int, cols []int) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: shard %d response %s", shard.ErrCorrupt, idx, fmt.Sprintf(format, args...))
+	}
+	nItems, nCols := b.NumItems(), b.NumCols()
+	sum := resp.Summary
+	if len(sum.Strata) != nItems {
+		return bad("has %d strata, model has %d items", len(sum.Strata), nItems)
 	}
 	if len(resp.Codes) != nCols {
-		return fmt.Errorf("serve: shard %d response has %d code columns, table has %d", idx, len(resp.Codes), nCols)
+		return bad("has %d code columns, table has %d", len(resp.Codes), nCols)
 	}
-	want := resp.Summary.CandidateRows()
-	if len(want) != len(resp.Rows) {
-		return fmt.Errorf("serve: shard %d response carries %d rows for %d candidates", idx, len(resp.Rows), len(want))
+	for c, col := range resp.Codes {
+		if len(col) != len(resp.Rows) {
+			return bad("has %d codes in column %d for %d rows", len(col), c, len(resp.Rows))
+		}
 	}
-	if resp.Matched < len(resp.Rows) || resp.Matched > src.ShardRows(idx) {
-		return fmt.Errorf("serve: shard %d response claims %d matching rows but carries %d candidates of %d shard rows",
-			idx, resp.Matched, len(resp.Rows), src.ShardRows(idx))
+	shardRows := src.ShardRows(idx)
+	if resp.Matched < 0 || resp.Matched > shardRows {
+		return bad("claims %d matching rows of %d shard rows", resp.Matched, shardRows)
+	}
+	if want := min(budget, resp.Matched); len(sum.Cand) != want {
+		return bad("carries %d candidates, want min(budget %d, matched %d)", len(sum.Cand), budget, resp.Matched)
 	}
 	lo := int64(src.ShardStart(idx))
-	hi := lo + int64(src.ShardRows(idx))
+	hi := lo + int64(shardRows)
+	for k, hr := range sum.Cand {
+		if hr.Row < lo || hr.Row >= hi {
+			return bad("candidate row %d outside shard range [%d, %d)", hr.Row, lo, hi)
+		}
+		if k > 0 && hr.Row <= sum.Cand[k-1].Row {
+			return bad("candidate rows do not strictly ascend at %d", k)
+		}
+		if hr.Hash != shard.RowHash(seed, hr.Row) {
+			return bad("candidate row %d has hash %016x, not its seeded hash", hr.Row, hr.Hash)
+		}
+	}
+	asked := make([]bool, nCols)
+	for _, c := range cols {
+		asked[c] = true
+	}
+	for s, sm := range sum.Strata {
+		if sm.Row < 0 {
+			continue
+		}
+		if sm.Row < lo || sm.Row >= hi {
+			return bad("stratum %d row %d outside shard range [%d, %d)", s, sm.Row, lo, hi)
+		}
+		if !asked[b.ColOfItem(int32(s))] {
+			return bad("fills stratum %d of a column the request did not ask for", s)
+		}
+		if sm.Hash != shard.RowHash(seed, sm.Row) {
+			return bad("stratum %d row %d has hash %016x, not its seeded hash", s, sm.Row, sm.Hash)
+		}
+	}
+	want := sum.CandidateRows()
+	if len(want) != len(resp.Rows) {
+		return bad("carries %d rows for %d candidates", len(resp.Rows), len(want))
+	}
+	if resp.Matched < len(resp.Rows) {
+		return bad("claims %d matching rows but carries %d", resp.Matched, len(resp.Rows))
+	}
 	for k, r := range resp.Rows {
 		if r != want[k] {
-			return fmt.Errorf("serve: shard %d response rows disagree with its summary", idx)
+			return bad("rows disagree with its summary")
 		}
-		if r < lo || r >= hi {
-			return fmt.Errorf("serve: shard %d response row %d outside shard range [%d, %d)", idx, r, lo, hi)
+	}
+	// Every stratum row is in resp.Rows (it matches CandidateRows), so a
+	// binary search finds the code it carries.
+	for s, sm := range sum.Strata {
+		if sm.Row < 0 {
+			continue
+		}
+		k, _ := slices.BinarySearch(resp.Rows, sm.Row)
+		c := b.ColOfItem(int32(s))
+		if got := int(resp.Codes[c][k]); got != b.BinOfItem(int32(s)) {
+			return bad("stratum %d row %d carries code %d, not the stratum's bin %d", s, sm.Row, got, b.BinOfItem(int32(s)))
 		}
 	}
 	return nil

@@ -1,7 +1,10 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
 
 	"subtab/internal/binning"
 )
@@ -23,10 +26,11 @@ import (
 //     shard-local rows ahead of it in (hash, row) order, so it sits
 //     within its shard's top budget.
 //
-// Scan produces the per-shard Summary, MergeStrata folds phase-1 minima,
-// and FinishSample replays core's exact pick order over the merged state
-// — byte-identical to a single full-table scan, which the property sweep
-// in core and the golden never-recording tests pin.
+// ScanRows produces the per-shard Summary in one pass over the shard,
+// MergeStrata folds phase-1 minima, and FinishSample replays core's exact
+// pick order over the merged state — byte-identical to a single
+// full-table scan, which the property sweep in core and the golden
+// never-recording tests pin.
 
 // StratumMin is the phase-1 state of one stratum: the minimal (hash, row)
 // pair seen, or Row == -1 when the stratum is empty so far.
@@ -44,7 +48,7 @@ type HashRow struct {
 
 // Summary is one shard's contribution to a scatter/gather sample. Strata
 // is indexed by global item id; Cand holds the shard's budget smallest
-// (hash, row) pairs in ascending order. Rows are global ids throughout.
+// (hash, row) pairs in ascending row order. Rows are global ids throughout.
 type Summary struct {
 	Strata []StratumMin
 	Cand   []HashRow
@@ -77,10 +81,9 @@ func EmptyStrata(numItems int) []StratumMin {
 // Scan computes one shard's Summary: cs holds the shard's rows (local ids
 // 0..NumRows-1, global ids offset by start), b supplies the item-id space
 // (stratum s of column c's code v is b.ItemOf(c, 0)+v), and budget bounds
-// the phase-2 candidate list. The scan streams cs block by block, exactly
-// like core's single-store scan restricted to this row range.
+// the phase-2 candidate list.
 func Scan(b *binning.Binned, cs binning.CodeSource, start int, cols []int, budget int, seed int64) Summary {
-	return ScanFiltered(b, cs, start, cols, budget, seed, nil)
+	return ScanRows(b, cs, start, cols, budget, seed, nil, false).Summary
 }
 
 // ScanFiltered is Scan restricted to the rows whose local-id entry in keep
@@ -90,104 +93,351 @@ func Scan(b *binning.Binned, cs binning.CodeSource, start int, cols []int, budge
 // and dropping a row from every shard's reduction is the same as dropping
 // it from the global one.
 func ScanFiltered(b *binning.Binned, cs binning.CodeSource, start int, cols []int, budget int, seed int64, keep []bool) Summary {
-	strata := EmptyStrata(b.NumItems())
-	n := 0
+	var rows []int
+	if keep != nil {
+		rows = make([]int, 0, len(keep))
+		for i, k := range keep {
+			if k {
+				rows = append(rows, start+i)
+			}
+		}
+	}
+	return ScanRows(b, cs, start, cols, budget, seed, rows, false).Summary
+}
+
+// ScanRows is the one shard scan behind Scan, ScanFiltered and the
+// shard-exec worker. rows lists the global rows to sample from, strictly
+// ascending and inside [start, start+cs.NumRows()); nil samples every row.
+// The response's Matched is the number of rows sampled from.
+//
+// Phase 2 depends only on the hashes, so the candidate list is fixed
+// first, by a threshold select over the rows' hashes. One pass per column
+// then finds the column's stratum minima and, with withCodes, copies the
+// candidates' codes out of the same decoded blocks — for every table
+// column, not only cols, since the coordinator finishes the selection from
+// them. Stratum minima that are not candidates are read cell by cell
+// afterwards; there are at most as many as strata. Without withCodes the
+// response's Rows and Codes are nil.
+func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, budget int, seed int64, rows []int, withCodes bool) *SampleResponse {
+	resp := &SampleResponse{Summary: Summary{Strata: EmptyStrata(b.NumItems())}}
+	n, nCols := 0, b.NumCols()
 	if cs != nil {
 		n = cs.NumRows()
 	}
-	if n == 0 {
-		return Summary{Strata: strata}
-	}
-	rowH := make([]uint64, n)
-	for i := range rowH {
-		rowH[i] = RowHash(seed, int64(start+i))
-	}
-	matched := n
-	if keep != nil {
-		matched = 0
-		for _, k := range keep {
-			if k {
-				matched++
-			}
+	if withCodes {
+		resp.Rows = []int64{}
+		resp.Codes = make([][]uint16, nCols)
+		for c := range resp.Codes {
+			resp.Codes[c] = []uint16{}
 		}
 	}
+	full := rows == nil
+	matched := len(rows)
+	if full {
+		matched = n
+	}
+	resp.Matched = matched
 	if matched == 0 {
-		return Summary{Strata: strata}
-	}
-	var scratch []uint16
-	br := cs.BlockRows()
-	for _, c := range cols {
-		base := b.ItemOf(c, 0)
-		for blk := 0; blk < cs.NumBlocks(); blk++ {
-			codes := cs.ColumnBlock(c, blk, scratch)
-			scratch = codes
-			off := blk * br
-			for i, code := range codes {
-				if keep != nil && !keep[off+i] {
-					continue
-				}
-				s := base + int32(code)
-				r := int64(start + off + i)
-				h := rowH[off+i]
-				if strata[s].Row < 0 || h < strata[s].Hash || (h == strata[s].Hash && r < strata[s].Row) {
-					strata[s] = StratumMin{Row: r, Hash: h}
-				}
-			}
-		}
+		return resp
 	}
 
-	// Phase-2 candidates: the shard's budget smallest (hash, row) pairs,
-	// via the same bounded max-heap core uses (no full sort of the shard).
-	rem := min(budget, matched)
-	heap := make([]HashRow, 0, rem)
-	greater := func(a, b HashRow) bool {
-		if a.Hash != b.Hash {
-			return a.Hash > b.Hash
-		}
-		return a.Row > b.Row
+	// hs[j] is the hash of the j-th sampled row: local row j of a full
+	// scan, rows[j] otherwise.
+	hs := make([]uint64, matched)
+	rowOf := func(j int) int64 { return int64(start + j) }
+	if !full {
+		rowOf = func(j int) int64 { return int64(rows[j]) }
 	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(heap) && greater(heap[l], heap[big]) {
-				big = l
-			}
-			if r < len(heap) && greater(heap[r], heap[big]) {
-				big = r
-			}
-			if big == i {
-				return
-			}
-			heap[i], heap[big] = heap[big], heap[i]
-			i = big
-		}
+	for j := range hs {
+		hs[j] = RowHash(seed, rowOf(j))
 	}
-	for i := 0; i < n; i++ {
-		if keep != nil && !keep[i] {
-			continue
+	var cand []HashRow
+	if budget >= matched {
+		cand = make([]HashRow, matched)
+		for j, h := range hs {
+			cand[j] = HashRow{Hash: h, Row: rowOf(j)}
 		}
-		hr := HashRow{Hash: rowH[i], Row: int64(start + i)}
-		if len(heap) < rem {
-			heap = append(heap, hr)
-			for j := len(heap) - 1; j > 0; {
-				p := (j - 1) / 2
-				if !greater(heap[j], heap[p]) {
-					break
+	} else {
+		cand = SmallestHashRows(budget, matched, math.MaxUint64, func(limit uint64, dst []HashRow) []HashRow {
+			for j, h := range hs {
+				if h <= limit {
+					dst = append(dst, HashRow{Hash: h, Row: rowOf(j)})
 				}
-				heap[j], heap[p] = heap[p], heap[j]
-				j = p
 			}
-			continue
-		}
-		if greater(hr, heap[0]) {
-			continue
-		}
-		heap[0] = hr
-		siftDown(0)
+			return dst
+		})
 	}
-	sort.Slice(heap, func(i, j int) bool { return greater(heap[j], heap[i]) })
-	return Summary{Strata: strata, Cand: heap}
+	resp.Summary.Cand = cand
+
+	// The column pass walks local row positions: loc[j] for the j-th
+	// sampled row (nil for a full scan, where it is j), cloc[k] for the k-th
+	// candidate whose codes are captured.
+	var loc, cloc []int32
+	if !full {
+		loc = make([]int32, len(rows))
+		for j, r := range rows {
+			loc[j] = int32(r - start)
+		}
+	}
+	var candCodes [][]uint16
+	var backing []uint16
+	if withCodes {
+		cloc = make([]int32, len(cand))
+		for k, hr := range cand {
+			cloc[k] = int32(int(hr.Row) - start)
+		}
+		candCodes = make([][]uint16, nCols)
+		backing = make([]uint16, nCols*len(cand))
+	}
+	scan := make([]bool, nCols)
+	for _, c := range cols {
+		scan[c] = true
+	}
+	br := cs.BlockRows()
+	raw, _ := cs.(rawBlocks)
+	var scratch []uint16
+	var mins []slot
+	for c := 0; c < nCols; c++ {
+		if !scan[c] && !withCodes {
+			continue
+		}
+		if scan[c] {
+			mins = resetSlots(mins, b.Cols[c].NumBins())
+		}
+		var capture []uint16
+		if withCodes {
+			capture = backing[c*len(cand) : (c+1)*len(cand) : (c+1)*len(cand)]
+			candCodes[c] = capture
+		}
+		j, k := 0, 0 // cursors into loc and cloc
+		for blk := 0; blk < cs.NumBlocks(); blk++ {
+			off := blk * br
+			end := min(off+br, n)
+			jEnd, kEnd := j, k
+			for jEnd < len(loc) && int(loc[jEnd]) < end {
+				jEnd++
+			}
+			for kEnd < len(cloc) && int(cloc[kEnd]) < end {
+				kEnd++
+			}
+			needScan := scan[c] && (full || jEnd > j)
+			if !needScan && kEnd == k {
+				continue
+			}
+			// A block the pass reads only some rows of is decoded at just
+			// those rows when the store lends its encoded bytes; the
+			// candidates are a subset of the sampled rows.
+			var codes []uint16
+			if enc := rawBlock(raw, c, blk, full && needScan); enc != nil {
+				codes = growCodes(scratch, end-off)
+				scratch = codes
+				need := cloc[k:kEnd]
+				if needScan {
+					need = loc[j:jEnd]
+				}
+				for _, p := range need {
+					i := int(p) - off
+					codes[i] = uint16(enc[2*i]) | uint16(enc[2*i+1])<<8
+				}
+			} else {
+				codes = cs.ColumnBlock(c, blk, scratch)
+				scratch = codes
+			}
+			if needScan && full {
+				bh := hs[off : off+len(codes)]
+				for i, code := range codes {
+					h, m := bh[i], &mins[code]
+					if h < m.h || (h == m.h && m.i < 0) {
+						m.h, m.i = h, off+i
+					}
+				}
+			} else if needScan {
+				for ; j < jEnd; j++ {
+					h, m := hs[j], &mins[codes[int(loc[j])-off]]
+					if h < m.h || (h == m.h && m.i < 0) {
+						m.h, m.i = h, j
+					}
+				}
+			}
+			j = jEnd
+			for ; k < kEnd; k++ {
+				capture[k] = codes[int(cloc[k])-off]
+			}
+		}
+		if scan[c] {
+			base := int(b.ItemOf(c, 0))
+			for s, m := range mins {
+				if m.i >= 0 {
+					resp.Summary.Strata[base+s] = StratumMin{Row: rowOf(m.i), Hash: m.h}
+				}
+			}
+		}
+	}
+	if !withCodes {
+		return resp
+	}
+
+	// The response rows are the stratum minima merged into the candidates.
+	// A minimum that is no candidate is read cell by cell; the candidates'
+	// codes are copied in runs around those positions.
+	resp.Rows = resp.Summary.CandidateRows()
+	var extra []int
+	if len(resp.Rows) > len(cand) {
+		k := 0
+		for u, r := range resp.Rows {
+			if k < len(cand) && cand[k].Row == r {
+				k++
+			} else {
+				extra = append(extra, u)
+			}
+		}
+	}
+	for c := range resp.Codes {
+		if len(extra) == 0 {
+			resp.Codes[c] = candCodes[c]
+			continue
+		}
+		out := make([]uint16, len(resp.Rows))
+		u, k := 0, 0
+		for _, e := range extra {
+			k += copy(out[u:e], candCodes[c][k:])
+			out[e] = cs.Code(c, int(resp.Rows[e])-start)
+			u = e + 1
+		}
+		copy(out[u:], candCodes[c][k:])
+		resp.Codes[c] = out
+	}
+	return resp
+}
+
+// rawBlocks is the optional CodeSource extension of stores whose blocks
+// are mapped in memory: RawColumnBlock lends column c's codes in block blk
+// in their encoded form (codestore.DecodeCodes), or nil when it cannot.
+type rawBlocks interface {
+	RawColumnBlock(c, blk int) []byte
+}
+
+// rawBlock returns the encoded block when raw can lend it and the pass
+// does not read the whole block anyway.
+func rawBlock(raw rawBlocks, c, blk int, whole bool) []byte {
+	if raw == nil || whole {
+		return nil
+	}
+	return raw.RawColumnBlock(c, blk)
+}
+
+// growCodes returns scratch resized to n codes.
+func growCodes(scratch []uint16, n int) []uint16 {
+	if cap(scratch) < n {
+		return make([]uint16, n)
+	}
+	return scratch[:n]
+}
+
+// slot is one stratum's running minimum inside a column pass: the hash
+// and the position of the row holding it (-1: no row yet).
+type slot struct {
+	h uint64
+	i int
+}
+
+// resetSlots returns n empty slots, reusing buf.
+func resetSlots(buf []slot, n int) []slot {
+	if cap(buf) < n {
+		buf = make([]slot, n)
+	}
+	buf = buf[:n]
+	for s := range buf {
+		buf[s] = slot{math.MaxUint64, -1}
+	}
+	return buf
+}
+
+// SmallestHashRows is the phase-2 threshold select shared by every
+// sampler: it returns the rem smallest (Hash, Row) pairs among free
+// candidates, in the order collect gathers them. collect(limit, dst) must
+// append to dst, in one fixed order, every candidate whose hash is at most
+// limit, and return it; span bounds the candidates' hashes. Hashes are
+// uniform below span, so a limit sized to admit slightly more than rem of
+// the free candidates collects a superset of the answer in one pass; when
+// fewer than rem fall under it, collect runs again with no limit. Either
+// way the rem smallest of the collected pairs are exactly the rem smallest
+// overall. rem must not exceed free.
+func SmallestHashRows(rem, free int, span uint64, collect func(limit uint64, dst []HashRow) []HashRow) []HashRow {
+	if rem <= 0 {
+		return nil
+	}
+	limit := uint64(math.MaxUint64)
+	if want := rem + rem/8 + 64; want < free {
+		limit = uint64(float64(want) / float64(free) * float64(span))
+	}
+	coll := collect(limit, make([]HashRow, 0, min(free, rem+rem/4+128)))
+	if len(coll) < rem && limit != math.MaxUint64 {
+		coll = collect(math.MaxUint64, coll[:0])
+	}
+	if len(coll) <= rem {
+		return coll
+	}
+
+	// The cut is the rem-th smallest (hash, row): every collected pair
+	// below the cut hash is in, and of the pairs at the cut hash the lowest
+	// rows are.
+	hs := make([]uint64, len(coll))
+	for j, hr := range coll {
+		hs[j] = hr.Hash
+	}
+	cutH := nthSmallest(hs, rem-1)
+	atCut := rem
+	var tied []int64
+	for _, hr := range coll {
+		if hr.Hash < cutH {
+			atCut--
+		} else if hr.Hash == cutH {
+			tied = append(tied, hr.Row)
+		}
+	}
+	slices.Sort(tied)
+	cutRow := tied[atCut-1]
+	out := coll[:0]
+	for _, hr := range coll {
+		if hr.Hash < cutH || (hr.Hash == cutH && hr.Row <= cutRow) {
+			out = append(out, hr)
+		}
+	}
+	return out
+}
+
+// nthSmallest returns the k-th smallest (0-based) value of hs, reordering
+// hs: quickselect with a three-way partition, so runs of equal values
+// shrink the range instead of stalling it.
+func nthSmallest(hs []uint64, k int) uint64 {
+	for len(hs) > 16 {
+		p := hs[len(hs)/2]
+		lt, i, gt := 0, 0, len(hs)
+		for i < gt {
+			switch h := hs[i]; {
+			case h < p:
+				hs[lt], hs[i] = h, hs[lt]
+				lt++
+				i++
+			case h > p:
+				gt--
+				hs[i], hs[gt] = hs[gt], h
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hs = hs[:lt]
+		case k >= gt:
+			hs, k = hs[gt:], k-gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(hs)
+	return hs[k]
 }
 
 // MergeStrata folds src's phase-1 minima into dst element-wise with the
@@ -207,10 +457,15 @@ func MergeStrata(dst, src []StratumMin) {
 
 // MergeSummaries folds per-shard summaries (zero-value entries — skipped
 // shards — are ignored) into one merged strata array plus the
-// concatenated candidate list, ready for FinishSample.
+// concatenated candidate list, ready for FinishSample. Summaries given in
+// shard order concatenate to candidates in ascending row order.
 func MergeSummaries(sums []Summary, numItems int) ([]StratumMin, []HashRow) {
 	strata := EmptyStrata(numItems)
-	var cands []HashRow
+	n := 0
+	for _, sum := range sums {
+		n += len(sum.Cand)
+	}
+	cands := make([]HashRow, 0, n)
 	for _, sum := range sums {
 		if sum.Strata == nil {
 			continue
@@ -224,24 +479,28 @@ func MergeSummaries(sums []Summary, numItems int) ([]StratumMin, []HashRow) {
 // CandidateRows returns the sorted, duplicate-free global rows a summary
 // references (stratum minima plus phase-2 candidates) — the rows whose
 // codes a shard ships back so the coordinator can finish the selection
-// without another round trip.
+// without another round trip. Cand must be in ascending row order.
 func (s Summary) CandidateRows() []int64 {
-	seen := make(map[int64]bool, len(s.Cand)+len(s.Strata))
-	out := make([]int64, 0, len(s.Cand)+len(s.Strata))
+	minima := make([]int64, 0, len(s.Strata))
 	for _, sm := range s.Strata {
-		if sm.Row >= 0 && !seen[sm.Row] {
-			seen[sm.Row] = true
-			out = append(out, sm.Row)
+		if sm.Row >= 0 {
+			minima = append(minima, sm.Row)
 		}
 	}
+	slices.Sort(minima)
+	minima = slices.Compact(minima)
+	out := make([]int64, 0, len(minima)+len(s.Cand))
+	i := 0
 	for _, hr := range s.Cand {
-		if !seen[hr.Row] {
-			seen[hr.Row] = true
-			out = append(out, hr.Row)
+		for ; i < len(minima) && minima[i] < hr.Row; i++ {
+			out = append(out, minima[i])
 		}
+		if i < len(minima) && minima[i] == hr.Row {
+			i++
+		}
+		out = append(out, hr.Row)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(out, minima[i:]...)
 }
 
 // FinishSample replays core's pick order over merged scatter state:
@@ -258,52 +517,101 @@ func FinishSample(strata []StratumMin, cands []HashRow, budget int) []int {
 // then the already-covered strata (ascending), so a drill-down's budget
 // prefers rows representing strata the session has not yet shown. covered
 // == nil restores the unbiased order exactly.
+//
+// The picked set holds phase 1's rows only, so it is sized to the strata,
+// not to the budget; phase 2 is the threshold select of SmallestHashRows
+// over the unpicked candidates.
 func FinishSampleBiased(strata []StratumMin, cands []HashRow, budget int, covered func(item int) bool) []int {
-	picked := make(map[int64]bool, budget)
-	sample := make([]int, 0, budget)
-	passes := [2]bool{false, true}
-	for _, wantCovered := range passes {
-		if len(sample) >= budget {
+	seen := make(map[int64]struct{}, min(budget, len(strata)))
+	picked := make([]int64, 0, min(budget, len(strata)))
+	for _, wantCovered := range [2]bool{false, true} {
+		if len(picked) >= budget {
 			break
 		}
 		for s := range strata {
-			if len(sample) >= budget {
+			if len(picked) >= budget {
 				break
 			}
 			if covered != nil && covered(s) != wantCovered {
 				continue
 			}
 			r := strata[s].Row
-			if r < 0 || picked[r] {
+			if r < 0 {
 				continue
 			}
-			picked[r] = true
-			sample = append(sample, int(r))
+			if _, dup := seen[r]; dup {
+				continue
+			}
+			seen[r] = struct{}{}
+			picked = append(picked, r)
 		}
 		if covered == nil {
 			break
 		}
 	}
-	if rem := budget - len(sample); rem > 0 {
-		rest := make([]HashRow, 0, len(cands))
+	slices.Sort(picked)
+	var fill []HashRow
+	if rem := budget - len(picked); rem > 0 && len(cands) > 0 {
+		var span uint64
 		for _, hr := range cands {
-			if !picked[hr.Row] {
-				rest = append(rest, hr)
-			}
+			span = max(span, hr.Hash)
 		}
-		sort.Slice(rest, func(i, j int) bool {
-			if rest[i].Hash != rest[j].Hash {
-				return rest[i].Hash < rest[j].Hash
+		isPicked := func(r int64) bool { _, ok := slices.BinarySearch(picked, r); return ok }
+		fill = SmallestHashRows(min(rem, len(cands)), len(cands), span, func(limit uint64, dst []HashRow) []HashRow {
+			for _, hr := range cands {
+				if hr.Hash <= limit && !isPicked(hr.Row) {
+					dst = append(dst, hr)
+				}
 			}
-			return rest[i].Row < rest[j].Row
+			return dst
 		})
-		if len(rest) > rem {
-			rest = rest[:rem]
-		}
-		for _, hr := range rest {
-			sample = append(sample, int(hr.Row))
+		byRow := func(a, b HashRow) int { return cmp.Compare(a.Row, b.Row) }
+		if !slices.IsSortedFunc(fill, byRow) {
+			slices.SortFunc(fill, byRow)
 		}
 	}
-	sort.Ints(sample)
+	sample := make([]int, 0, len(picked)+len(fill))
+	i := 0
+	for _, hr := range fill {
+		for ; i < len(picked) && picked[i] < hr.Row; i++ {
+			sample = append(sample, int(picked[i]))
+		}
+		sample = append(sample, int(hr.Row))
+	}
+	for _, r := range picked[i:] {
+		sample = append(sample, int(r))
+	}
 	return sample
+}
+
+// SampleCodes copies the codes of a finished sample out of the per-shard
+// responses that produced it: codes[c][k] is column c's code of rows[k].
+// rows must be ascending and parts in shard order, so one merge walk finds
+// every row; a sampled row no response carries is an error.
+func SampleCodes(rows []int, parts []*SampleResponse, nCols int) ([][]uint16, error) {
+	type at struct{ part, k int }
+	pos := make([]at, len(rows))
+	p, k := 0, 0
+	for i, r := range rows {
+		for p < len(parts) && (k >= len(parts[p].Rows) || parts[p].Rows[k] < int64(r)) {
+			if k < len(parts[p].Rows) {
+				k++
+			} else {
+				p, k = p+1, 0
+			}
+		}
+		if p == len(parts) || parts[p].Rows[k] != int64(r) {
+			return nil, fmt.Errorf("shard: sampled row %d is in no shard response", r)
+		}
+		pos[i] = at{p, k}
+	}
+	codes := make([][]uint16, nCols)
+	for c := range codes {
+		col := make([]uint16, len(rows))
+		for i, a := range pos {
+			col[i] = parts[a.part].Codes[c][a.k]
+		}
+		codes[c] = col
+	}
+	return codes, nil
 }

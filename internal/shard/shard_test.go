@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"subtab/internal/binning"
 	"subtab/internal/codestore"
+	"subtab/internal/query"
 )
 
 // memSource is an in-memory CodeSource with a configurable block size, for
@@ -369,24 +371,50 @@ func TestSourceVirtualBlocks(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	req := &SampleRequest{Checksum: 0xabad1dea, Seed: -42, Budget: 256, Cols: []int{0, 3, 7}}
-	gotReq, err := UnmarshalSampleRequest(req.Marshal())
-	if err != nil {
-		t.Fatalf("request round trip: %v", err)
+// Wire fixtures: the frames TestWireRoundTrip round-trips, which also
+// seed the wire decoders' fuzz targets.
+var (
+	wireSampleRequests = []*SampleRequest{
+		{Checksum: 0xabad1dea, Seed: -42, Budget: 256, Cols: []int{0, 3, 7}},
+		{Checksum: 7, Seed: 1, Budget: 20000, Cols: []int{1}, Preds: []query.Predicate{
+			{Col: "DISTANCE", Op: query.Leq, Num: 812.5},
+			{Col: "CARRIER", Op: query.Eq, Str: "AA"},
+		}},
 	}
-	if !reflect.DeepEqual(gotReq, req) {
-		t.Fatalf("request mismatch:\n got %+v\nwant %+v", gotReq, req)
-	}
-
-	resp := &SampleResponse{
-		Summary: Summary{
-			Strata: []StratumMin{{Row: -1}, {Row: 5, Hash: 99}, {Row: 1 << 40, Hash: ^uint64(0)}},
-			Cand:   []HashRow{{Hash: 3, Row: 12}, {Hash: 3, Row: 14}},
+	wireSampleResponses = []*SampleResponse{
+		{
+			Summary: Summary{
+				Strata: []StratumMin{{Row: -1}, {Row: 5, Hash: 99}, {Row: 1 << 40, Hash: ^uint64(0)}},
+				Cand:   []HashRow{{Hash: 3, Row: 12}, {Hash: 3, Row: 14}},
+			},
+			Rows:    []int64{5, 12, 14, 1 << 40},
+			Codes:   [][]uint16{{1, 2, 3, 4}, {9, 8, 7, 6}},
+			Matched: 9,
 		},
-		Rows:  []int64{5, 12, 14, 1 << 40},
-		Codes: [][]uint16{{1, 2, 3, 4}, {9, 8, 7, 6}},
+		// An empty response (a zero-row shard).
+		{Summary: Summary{Strata: []StratumMin{}}},
 	}
+	wireCellsRequests = []*CellsRequest{
+		{Checksum: 0xfeed, Cols: []int{2, 0}, Rows: []int64{0, 17, 4}},
+		{Checksum: 1},
+	}
+	wireCellsResponses = []*CellsResponse{
+		{Cells: [][]string{{"a", "", "ccc"}, {"1.5", "x", "\x00"}}},
+		{Cells: [][]string{}},
+	}
+)
+
+func TestWireRoundTrip(t *testing.T) {
+	for i, req := range wireSampleRequests {
+		got, err := UnmarshalSampleRequest(req.Marshal())
+		if err != nil {
+			t.Fatalf("request %d round trip: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("request %d mismatch:\n got %+v\nwant %+v", i, got, req)
+		}
+	}
+	resp := wireSampleResponses[0]
 	gotResp, err := UnmarshalSampleResponse(resp.Marshal())
 	if err != nil {
 		t.Fatalf("response round trip: %v", err)
@@ -397,13 +425,31 @@ func TestWireRoundTrip(t *testing.T) {
 
 	// Empty response (a zero-row shard) round-trips too, modulo nil vs
 	// empty slices.
-	empty := &SampleResponse{Summary: Summary{Strata: []StratumMin{}}}
-	gotEmpty, err := UnmarshalSampleResponse(empty.Marshal())
+	gotEmpty, err := UnmarshalSampleResponse(wireSampleResponses[1].Marshal())
 	if err != nil {
 		t.Fatalf("empty response round trip: %v", err)
 	}
 	if len(gotEmpty.Summary.Strata) != 0 || len(gotEmpty.Rows) != 0 {
 		t.Fatalf("empty response decoded as %+v", gotEmpty)
+	}
+
+	for i, req := range wireCellsRequests {
+		got, err := UnmarshalCellsRequest(req.Marshal())
+		if err != nil {
+			t.Fatalf("cells request %d round trip: %v", i, err)
+		}
+		if !slices.Equal(got.Cols, req.Cols) || !slices.Equal(got.Rows, req.Rows) || got.Checksum != req.Checksum {
+			t.Fatalf("cells request %d mismatch:\n got %+v\nwant %+v", i, got, req)
+		}
+	}
+	for i, resp := range wireCellsResponses {
+		got, err := UnmarshalCellsResponse(resp.Marshal())
+		if err != nil {
+			t.Fatalf("cells response %d round trip: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, resp) {
+			t.Fatalf("cells response %d mismatch:\n got %+v\nwant %+v", i, got, resp)
+		}
 	}
 }
 
@@ -482,36 +528,26 @@ func TestCandidateRows(t *testing.T) {
 	}
 }
 
-func TestSparseSource(t *testing.T) {
-	src, err := NewSparseSource(100, 2, []int64{5, 50, 99}, [][]uint16{{1, 2, 3}, {4, 5, 6}})
+func TestSampleCodes(t *testing.T) {
+	parts := []*SampleResponse{
+		{Rows: []int64{2, 5, 9}, Codes: [][]uint16{{20, 50, 90}, {21, 51, 91}}},
+		{Rows: []int64{}, Codes: [][]uint16{{}, {}}},
+		{Rows: []int64{12, 40}, Codes: [][]uint16{{120, 400}, {121, 401}}},
+	}
+	got, err := SampleCodes([]int{2, 9, 12, 40}, parts, 2)
 	if err != nil {
-		t.Fatalf("NewSparseSource: %v", err)
+		t.Fatal(err)
 	}
-	if src.NumRows() != 100 || src.NumCols() != 2 || src.BlockRows() != 1 || src.NumBlocks() != 100 {
-		t.Fatal("sparse source geometry wrong")
+	if want := [][]uint16{{20, 90, 120, 400}, {21, 91, 121, 401}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("SampleCodes = %v, want %v", got, want)
 	}
-	if !src.Covers(50) || src.Covers(51) {
-		t.Fatal("Covers wrong")
+	if got, err := SampleCodes(nil, parts, 2); err != nil || len(got) != 2 || len(got[0]) != 0 {
+		t.Fatalf("empty sample: %v, %v", got, err)
 	}
-	if src.Code(1, 50) != 5 {
-		t.Fatalf("Code(1, 50) = %d, want 5", src.Code(1, 50))
-	}
-	if got := src.ColumnBlock(0, 99, nil); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("ColumnBlock(0, 99) = %v, want [3]", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Code on an uncovered row did not panic")
-			}
-		}()
-		src.Code(0, 51)
-	}()
-	if _, err := NewSparseSource(10, 1, []int64{3, 3}, [][]uint16{{1, 2}}); err == nil {
-		t.Error("NewSparseSource accepted a duplicate row")
-	}
-	if _, err := NewSparseSource(10, 1, []int64{10}, [][]uint16{{1}}); err == nil {
-		t.Error("NewSparseSource accepted an out-of-range row")
+	for _, rows := range [][]int{{3}, {2, 41}, {50}} {
+		if _, err := SampleCodes(rows, parts, 2); err == nil {
+			t.Errorf("SampleCodes(%v) accepted a row no response carries", rows)
+		}
 	}
 }
 

@@ -254,77 +254,3 @@ func (s *Source) Code(c, r int) uint16 {
 	}
 	return sh.Code(c, r-s.starts[i])
 }
-
-// SparseSource is a binning.CodeSource holding codes for an explicit row
-// subset of a larger table: the coordinator-side overlay carrying the
-// candidate rows a scatter/gather sample returned, so every downstream
-// read of a scaled selection (tuple-vector gather, diversity re-rank,
-// column vectors) resolves locally even when the rows' shards are remote.
-// Reads outside the covered rows panic. Blocks are single rows, so the
-// cursor-based consumers remain correct, if pointless, over it.
-type SparseSource struct {
-	rows, cols int
-	idx        map[int]int32
-	rowIDs     []int64
-	codes      [][]uint16 // [col][position in rowIDs]
-}
-
-// NewSparseSource builds an overlay for the given global rows of a
-// rows×cols table; codes[c][k] is column c's code for rowIDs[k].
-func NewSparseSource(rows, cols int, rowIDs []int64, codes [][]uint16) (*SparseSource, error) {
-	if len(codes) != cols {
-		return nil, fmt.Errorf("shard: sparse source has %d code columns, table has %d", len(codes), cols)
-	}
-	idx := make(map[int]int32, len(rowIDs))
-	for k, r := range rowIDs {
-		if r < 0 || r >= int64(rows) {
-			return nil, fmt.Errorf("shard: sparse source row %d out of range [0, %d)", r, rows)
-		}
-		if _, dup := idx[int(r)]; dup {
-			return nil, fmt.Errorf("shard: sparse source row %d duplicated", r)
-		}
-		idx[int(r)] = int32(k)
-	}
-	for c := range codes {
-		if len(codes[c]) != len(rowIDs) {
-			return nil, fmt.Errorf("shard: sparse source column %d has %d codes for %d rows", c, len(codes[c]), len(rowIDs))
-		}
-	}
-	return &SparseSource{rows: rows, cols: cols, idx: idx, rowIDs: rowIDs, codes: codes}, nil
-}
-
-// Covers reports whether global row r is present in the overlay.
-func (s *SparseSource) Covers(r int) bool { _, ok := s.idx[r]; return ok }
-
-// NumRows returns the full table's row count (the overlay addresses
-// global row ids).
-func (s *SparseSource) NumRows() int { return s.rows }
-
-// NumCols returns the column count.
-func (s *SparseSource) NumCols() int { return s.cols }
-
-// BlockRows returns 1: each covered row is its own block.
-func (s *SparseSource) BlockRows() int { return 1 }
-
-// NumBlocks returns the full table's row count.
-func (s *SparseSource) NumBlocks() int { return s.rows }
-
-// ColumnBlock returns the single-row block blk (panics when the row is
-// not covered).
-func (s *SparseSource) ColumnBlock(c, blk int, scratch []uint16) []uint16 {
-	if cap(scratch) < 1 {
-		scratch = make([]uint16, 1)
-	}
-	scratch = scratch[:1]
-	scratch[0] = s.Code(c, blk)
-	return scratch
-}
-
-// Code returns one covered cell's code.
-func (s *SparseSource) Code(c, r int) uint16 {
-	k, ok := s.idx[r]
-	if !ok {
-		panic(fmt.Sprintf("shard: row %d is not covered by the sampled overlay", r))
-	}
-	return s.codes[c][k]
-}

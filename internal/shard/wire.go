@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"subtab/internal/codestore"
 	"subtab/internal/query"
 )
 
@@ -18,10 +19,12 @@ import (
 // selection from one round trip per shard.
 
 // Version history: v1 was the unfiltered sampler; v2 adds predicate
-// pushdown (SampleRequest.Preds, SampleResponse.Matched). Peers on
-// different versions reject each other's frames outright — a mixed fleet
-// fails loudly instead of silently sampling unfiltered.
-const wireVersion uint16 = 2
+// pushdown (SampleRequest.Preds, SampleResponse.Matched); v3 keeps the v2
+// frame layout but sends Summary.Cand in ascending row order instead of
+// (hash, row) order. Peers on different versions reject each other's
+// frames outright — a mixed fleet fails loudly instead of silently
+// sampling unfiltered or merging candidates in the wrong order.
+const wireVersion uint16 = 3
 
 var (
 	reqMagic  = [4]byte{'S', 'B', 'S', 'Q'}
@@ -43,8 +46,9 @@ type SampleRequest struct {
 }
 
 // SampleResponse is the peer's Summary plus the referenced rows' codes:
-// Rows lists the summary's candidate rows (sorted, global ids) and
-// Codes[c][k] is table column c's code for Rows[k]. Matched counts the
+// Rows lists the summary's candidate rows (Summary.CandidateRows: sorted,
+// global ids) and Codes[c][k] is table column c's code for Rows[k], for
+// every table column. Matched counts the
 // shard's rows satisfying the request's predicates (all rows when the
 // request carried none) — the coordinator sums it to gate scaled mode on
 // the filtered population, not the table size.
@@ -90,7 +94,7 @@ func UnmarshalSampleRequest(raw []byte) (*SampleRequest, error) {
 		Budget:   int(int64(d.u64())),
 	}
 	nCols := int(d.u32())
-	if nCols < 0 || nCols > 1<<24 {
+	if nCols < 0 || nCols > 1<<24 || !d.has(4*nCols) {
 		return nil, fmt.Errorf("%w: sample request with %d columns", ErrCorrupt, nCols)
 	}
 	r.Cols = make([]int, nCols)
@@ -98,7 +102,7 @@ func UnmarshalSampleRequest(raw []byte) (*SampleRequest, error) {
 		r.Cols[i] = int(int32(d.u32()))
 	}
 	nPreds := int(d.u32())
-	if nPreds < 0 || nPreds > 1<<16 {
+	if nPreds < 0 || nPreds > 1<<16 || !d.has(18*nPreds) {
 		return nil, fmt.Errorf("%w: sample request with %d predicates", ErrCorrupt, nPreds)
 	}
 	if nPreds > 0 {
@@ -141,9 +145,7 @@ func (r *SampleResponse) Marshal() []byte {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Codes)))
 	for _, col := range r.Codes {
-		for _, v := range col {
-			buf = binary.LittleEndian.AppendUint16(buf, v)
-		}
+		buf = codestore.AppendCodes(buf, col)
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Matched))
 	return appendCRC(buf)
@@ -183,16 +185,18 @@ func UnmarshalSampleResponse(raw []byte) (*SampleResponse, error) {
 	for i := range r.Rows {
 		r.Rows[i] = int64(d.u64())
 	}
+	// A column costs no frame bytes when there are no rows, so the column
+	// count needs its own bound to keep a tiny frame from asking for a
+	// huge allocation.
 	nCols := int(d.u32())
-	if nCols < 0 || nCols > 1<<24 || !d.has(2*nCols*nRows) {
+	if nCols < 0 || nCols > 1<<16 || !d.has(2*nCols*nRows) {
 		return nil, fmt.Errorf("%w: sample response codes", ErrCorrupt)
 	}
 	r.Codes = make([][]uint16, nCols)
 	for c := range r.Codes {
 		col := make([]uint16, nRows)
-		for i := range col {
-			col[i] = d.u16()
-		}
+		codestore.DecodeCodes(col, d.buf[d.off:d.off+2*nRows])
+		d.off += 2 * nRows
 		r.Codes[c] = col
 	}
 	r.Matched = int(int64(d.u64()))
