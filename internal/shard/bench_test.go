@@ -32,6 +32,13 @@ type scanBench struct {
 	remove func()
 }
 
+// Benchmark results land in package-level sinks so the calls stay live.
+var (
+	benchSum    Summary
+	benchRowIDs []int64
+	benchSample []int
+)
+
 var (
 	scanBenchOnce sync.Once
 	scanBenchEnv  *scanBench
@@ -115,7 +122,7 @@ func BenchmarkShardScanFiltered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < benchShards; s++ {
-			ScanFiltered(e.b, e.src.ShardSource(s), e.src.ShardStart(s), e.cols, benchBudget, e.seed, e.keep[s])
+			benchSum = ScanFiltered(e.b, e.src.ShardSource(s), e.src.ShardStart(s), e.cols, benchBudget, e.seed, e.keep[s])
 		}
 	}
 	b.ReportMetric(float64(matched)/benchRows, "match_ratio")
@@ -128,10 +135,10 @@ func BenchmarkFinishSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sum := range e.sums {
-			sum.CandidateRows()
+			benchRowIDs = sum.CandidateRows()
 		}
 		strata, cands := MergeSummaries(e.sums, e.b.NumItems())
-		FinishSample(strata, cands, benchBudget)
+		benchSample = FinishSample(strata, cands, benchBudget)
 	}
 }
 

@@ -361,10 +361,11 @@ func TestFinishSampleTiedHashes(t *testing.T) {
 	}
 }
 
-// TestScanRowsCodesMatchSource pins the fused code capture on on-disk
-// shards: a store block size that does not divide the cuts, a filtered and
-// an unfiltered scan per shard, and every returned code checked against
-// the whole-table Source.Code of its row.
+// TestScanRowsCodesMatchSource runs the scan on on-disk shards, whose
+// mapped blocks the filtered pass decodes only at the rows it reads: a
+// store block size that does not divide the cuts, a filtered and an
+// unfiltered scan per shard, the summary checked against the reference
+// and every returned code against the whole-table Source.Code of its row.
 func TestScanRowsCodesMatchSource(t *testing.T) {
 	ds := datagen.Flights(900, 3)
 	b, err := binning.Bin(ds.T, binning.Options{MaxBins: 5, Seed: 3})
@@ -403,8 +404,23 @@ func TestScanRowsCodesMatchSource(t *testing.T) {
 				some = append(some, r)
 			}
 		}
+		var keep []bool
+		for r := lo; r < hi; r++ {
+			keep = append(keep, false)
+		}
+		for _, r := range some {
+			keep[r-lo] = true
+		}
 		for _, rows := range [][]int{nil, some} {
 			resp := ScanRows(b, src.ShardSource(i), lo, cols, 40, 9, rows, true)
+			mask := keep
+			if rows == nil {
+				mask = nil
+			}
+			want := refScanFiltered(b, src.ShardSource(i), lo, cols, 40, 9, mask)
+			if !reflect.DeepEqual(resp.Summary.Strata, want.Strata) || !sameCands(resp.Summary.Cand, want.Cand) {
+				t.Fatalf("shard %d filtered=%v: summary differs from the reference", i, rows != nil)
+			}
 			if len(resp.Codes) != b.NumCols() {
 				t.Fatalf("shard %d: %d code columns, want %d", i, len(resp.Codes), b.NumCols())
 			}

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"subtab/internal/binning"
+	"subtab/internal/codestore"
 )
 
 // The scatter/gather sampler protocol. core's stratified min-hash
@@ -151,22 +152,14 @@ func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, b
 	for j := range hs {
 		hs[j] = RowHash(seed, rowOf(j))
 	}
-	var cand []HashRow
-	if budget >= matched {
-		cand = make([]HashRow, matched)
+	cand := SmallestHashRows(min(budget, matched), matched, math.MaxUint64, func(limit uint64, dst []HashRow) []HashRow {
 		for j, h := range hs {
-			cand[j] = HashRow{Hash: h, Row: rowOf(j)}
-		}
-	} else {
-		cand = SmallestHashRows(budget, matched, math.MaxUint64, func(limit uint64, dst []HashRow) []HashRow {
-			for j, h := range hs {
-				if h <= limit {
-					dst = append(dst, HashRow{Hash: h, Row: rowOf(j)})
-				}
+			if h <= limit {
+				dst = append(dst, HashRow{Hash: h, Row: rowOf(j)})
 			}
-			return dst
-		})
-	}
+		}
+		return dst
+	})
 	resp.Summary.Cand = cand
 
 	// The column pass walks local row positions: loc[j] for the j-th
@@ -194,7 +187,7 @@ func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, b
 		scan[c] = true
 	}
 	br := cs.BlockRows()
-	raw, _ := cs.(rawBlocks)
+	store, _ := cs.(*codestore.Store)
 	var scratch []uint16
 	var mins []slot
 	for c := 0; c < nCols; c++ {
@@ -228,7 +221,11 @@ func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, b
 			// those rows when the store lends its encoded bytes; the
 			// candidates are a subset of the sampled rows.
 			var codes []uint16
-			if enc := rawBlock(raw, c, blk, full && needScan); enc != nil {
+			var enc []byte
+			if store != nil && !(full && needScan) {
+				enc = store.RawColumnBlock(c, blk)
+			}
+			if enc != nil {
 				codes = growCodes(scratch, end-off)
 				scratch = codes
 				need := cloc[k:kEnd]
@@ -277,14 +274,20 @@ func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, b
 		return resp
 	}
 
-	// The response rows are the stratum minima merged into the candidates.
-	// A minimum that is no candidate is read cell by cell; the candidates'
-	// codes are copied in runs around those positions.
 	resp.Rows = resp.Summary.CandidateRows()
-	var extra []int
-	if len(resp.Rows) > len(cand) {
+	resp.Codes = mergeMinimaCodes(resp.Rows, cand, candCodes, cs, start)
+	return resp
+}
+
+// mergeMinimaCodes lays the candidates' captured codes out along rows (the
+// candidates merged with the stratum minima), reading the few minima that
+// are no candidate cell by cell from cs. The candidates' codes are copied
+// in runs between those cells; with none, they are used as they are.
+func mergeMinimaCodes(rows []int64, cand []HashRow, candCodes [][]uint16, cs binning.CodeSource, start int) [][]uint16 {
+	var extra []int // positions in rows of the minima that are no candidate
+	if len(rows) > len(cand) {
 		k := 0
-		for u, r := range resp.Rows {
+		for u, r := range rows {
 			if k < len(cand) && cand[k].Row == r {
 				k++
 			} else {
@@ -292,38 +295,22 @@ func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, b
 			}
 		}
 	}
-	for c := range resp.Codes {
-		if len(extra) == 0 {
-			resp.Codes[c] = candCodes[c]
-			continue
-		}
-		out := make([]uint16, len(resp.Rows))
+	if len(extra) == 0 {
+		return candCodes
+	}
+	codes := make([][]uint16, len(candCodes))
+	for c, from := range candCodes {
+		out := make([]uint16, len(rows))
 		u, k := 0, 0
 		for _, e := range extra {
-			k += copy(out[u:e], candCodes[c][k:])
-			out[e] = cs.Code(c, int(resp.Rows[e])-start)
+			k += copy(out[u:e], from[k:])
+			out[e] = cs.Code(c, int(rows[e])-start)
 			u = e + 1
 		}
-		copy(out[u:], candCodes[c][k:])
-		resp.Codes[c] = out
+		copy(out[u:], from[k:])
+		codes[c] = out
 	}
-	return resp
-}
-
-// rawBlocks is the optional CodeSource extension of stores whose blocks
-// are mapped in memory: RawColumnBlock lends column c's codes in block blk
-// in their encoded form (codestore.DecodeCodes), or nil when it cannot.
-type rawBlocks interface {
-	RawColumnBlock(c, blk int) []byte
-}
-
-// rawBlock returns the encoded block when raw can lend it and the pass
-// does not read the whole block anyway.
-func rawBlock(raw rawBlocks, c, blk int, whole bool) []byte {
-	if raw == nil || whole {
-		return nil
-	}
-	return raw.RawColumnBlock(c, blk)
+	return codes
 }
 
 // growCodes returns scratch resized to n codes.
@@ -589,8 +576,14 @@ func FinishSampleBiased(strata []StratumMin, cands []HashRow, budget int, covere
 // rows must be ascending and parts in shard order, so one merge walk finds
 // every row; a sampled row no response carries is an error.
 func SampleCodes(rows []int, parts []*SampleResponse, nCols int) ([][]uint16, error) {
-	type at struct{ part, k int }
-	pos := make([]at, len(rows))
+	// The sampled rows of one part are a contiguous run of rows; ks[i] is
+	// rows[i]'s index in its part's Rows.
+	type run struct {
+		part   *SampleResponse
+		lo, hi int
+	}
+	var runs []run
+	ks := make([]int32, len(rows))
 	p, k := 0, 0
 	for i, r := range rows {
 		for p < len(parts) && (k >= len(parts[p].Rows) || parts[p].Rows[k] < int64(r)) {
@@ -603,13 +596,20 @@ func SampleCodes(rows []int, parts []*SampleResponse, nCols int) ([][]uint16, er
 		if p == len(parts) || parts[p].Rows[k] != int64(r) {
 			return nil, fmt.Errorf("shard: sampled row %d is in no shard response", r)
 		}
-		pos[i] = at{p, k}
+		if len(runs) == 0 || runs[len(runs)-1].part != parts[p] {
+			runs = append(runs, run{part: parts[p], lo: i})
+		}
+		runs[len(runs)-1].hi = i + 1
+		ks[i] = int32(k)
 	}
 	codes := make([][]uint16, nCols)
 	for c := range codes {
 		col := make([]uint16, len(rows))
-		for i, a := range pos {
-			col[i] = parts[a.part].Codes[c][a.k]
+		for _, rn := range runs {
+			src := rn.part.Codes[c]
+			for i, k := range ks[rn.lo:rn.hi] {
+				col[rn.lo+i] = src[k]
+			}
 		}
 		codes[c] = col
 	}
