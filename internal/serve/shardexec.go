@@ -498,6 +498,13 @@ func validateShardResponse(resp *shard.SampleResponse, src *shard.Source, idx in
 			return bad("candidate row %d has hash %016x, not its seeded hash", hr.Row, hr.Hash)
 		}
 	}
+	want := sum.CandidateRows()
+	if !slices.Equal(resp.Rows, want) {
+		return bad("carries %d rows that disagree with its summary's %d", len(resp.Rows), len(want))
+	}
+	if resp.Matched < len(resp.Rows) {
+		return bad("claims %d matching rows but carries %d", resp.Matched, len(resp.Rows))
+	}
 	asked := make([]bool, nCols)
 	for _, c := range cols {
 		asked[c] = true
@@ -509,35 +516,17 @@ func validateShardResponse(resp *shard.SampleResponse, src *shard.Source, idx in
 		if sm.Row < lo || sm.Row >= hi {
 			return bad("stratum %d row %d outside shard range [%d, %d)", s, sm.Row, lo, hi)
 		}
-		if !asked[b.ColOfItem(int32(s))] {
+		c, bin := b.ColOfItem(int32(s)), b.BinOfItem(int32(s))
+		if !asked[c] {
 			return bad("fills stratum %d of a column the request did not ask for", s)
 		}
 		if sm.Hash != shard.RowHash(seed, sm.Row) {
 			return bad("stratum %d row %d has hash %016x, not its seeded hash", s, sm.Row, sm.Hash)
 		}
-	}
-	want := sum.CandidateRows()
-	if len(want) != len(resp.Rows) {
-		return bad("carries %d rows for %d candidates", len(resp.Rows), len(want))
-	}
-	if resp.Matched < len(resp.Rows) {
-		return bad("claims %d matching rows but carries %d", resp.Matched, len(resp.Rows))
-	}
-	for k, r := range resp.Rows {
-		if r != want[k] {
-			return bad("rows disagree with its summary")
-		}
-	}
-	// Every stratum row is in resp.Rows (it matches CandidateRows), so a
-	// binary search finds the code it carries.
-	for s, sm := range sum.Strata {
-		if sm.Row < 0 {
-			continue
-		}
+		// The row is in resp.Rows, which equals CandidateRows.
 		k, _ := slices.BinarySearch(resp.Rows, sm.Row)
-		c := b.ColOfItem(int32(s))
-		if got := int(resp.Codes[c][k]); got != b.BinOfItem(int32(s)) {
-			return bad("stratum %d row %d carries code %d, not the stratum's bin %d", s, sm.Row, got, b.BinOfItem(int32(s)))
+		if got := int(resp.Codes[c][k]); got != bin {
+			return bad("stratum %d row %d carries code %d, not the stratum's bin %d", s, sm.Row, got, bin)
 		}
 	}
 	return nil

@@ -226,8 +226,10 @@ func ScanRows(b *binning.Binned, cs binning.CodeSource, start int, cols []int, b
 				enc = store.RawColumnBlock(c, blk)
 			}
 			if enc != nil {
-				codes = growCodes(scratch, end-off)
-				scratch = codes
+				if cap(scratch) < end-off {
+					scratch = make([]uint16, end-off)
+				}
+				codes = scratch[:end-off]
 				need := cloc[k:kEnd]
 				if needScan {
 					need = loc[j:jEnd]
@@ -311,14 +313,6 @@ func mergeMinimaCodes(rows []int64, cand []HashRow, candCodes [][]uint16, cs bin
 		codes[c] = out
 	}
 	return codes
-}
-
-// growCodes returns scratch resized to n codes.
-func growCodes(scratch []uint16, n int) []uint16 {
-	if cap(scratch) < n {
-		return make([]uint16, n)
-	}
-	return scratch[:n]
 }
 
 // slot is one stratum's running minimum inside a column pass: the hash
